@@ -9,14 +9,12 @@
 // (RVMA_Init_window / Post_buffer / Win_inc_epoch / rewind / catch-all)
 // are re-expressed here over explicit handles.
 //
-// Handles, not thread-locals: the legacy C API in src/core/rvma_c_api.h
-// routed every call through a thread-local endpoint set by
-// RVMA_Set_endpoint(). Under the sharded engine (--par-shards) one OS
-// thread drives many node endpoints, so "current endpoint" is not a
-// per-thread notion — it must travel with the call. Every function below
-// takes the context (or a window handle that knows its context), which
-// makes the surface shard-safe by construction. The legacy header is now
-// a deprecated wrapper over this one.
+// Handles, not thread-locals: the paper's calls carry no endpoint
+// argument, but under the sharded engine (--par-shards) one OS thread
+// drives many node endpoints, so "current endpoint" is not a per-thread
+// notion — it must travel with the call. Every function below takes the
+// context (or a window handle that knows its context), which makes the
+// surface shard-safe by construction.
 //
 // Threading contract: a context is owned by the shard thread of its node.
 // All calls on a ctx (and on windows created from it) must run on that
@@ -40,9 +38,7 @@
 extern "C" {
 #endif
 
-/* Status codes. Values are shared with the legacy core/rvma_c_api.h so
- * the two headers can coexist in one translation unit. */
-#ifndef RVMA_SUCCESS
+/* Status codes: rvma::Status (common/status.hpp) values, 1:1. */
 #define RVMA_SUCCESS 0
 #define RVMA_ERROR 1
 #define RVMA_ERR_INVALID 2
@@ -50,7 +46,6 @@ extern "C" {
 #define RVMA_ERR_NO_BUFFER 4
 #define RVMA_ERR_NO_MAILBOX 5
 #define RVMA_ERR_OVERFLOW 7
-#endif
 /* rvma_flush: operations to this destination are still in flight. */
 #define RVMA_ERR_PENDING 8
 
@@ -87,8 +82,8 @@ typedef struct rvma_completion {
  * that node's NIC. Returns NULL on bad arguments. */
 rvma_ctx rvma_initialize(void* cluster, int32_t node);
 
-/* Wrap an existing core::RvmaEndpoint without taking ownership — the
- * bridge the deprecated core/rvma_c_api.h shim rides on. */
+/* Wrap an existing core::RvmaEndpoint without taking ownership, for
+ * code that already owns endpoints. */
 rvma_ctx rvma_wrap_endpoint(void* endpoint);
 
 /* Destroy the context; frees the owned endpoint (if any) and every
@@ -201,7 +196,7 @@ void rvma_win_observe(rvma_win win, rvma_notify_fn fn, void* arg);
 void rvma_win_wait(rvma_win win, rvma_notify_fn fn, void* arg);
 
 /* Release the handle only; the window itself stays live on the
- * endpoint (legacy RVMA_Win_free semantics). */
+ * endpoint (the paper's RVMA_Win_free semantics). */
 void rvma_win_free(rvma_win win);
 
 /* ---- simulation helper ---- */

@@ -50,8 +50,8 @@ EpochType to_epoch(rvma_epoch_type type) {
   return type == RVMA_EPOCH_OPS ? EpochType::kOps : EpochType::kBytes;
 }
 
-/// The paper's key derivation, kept identical to the legacy shim so keys
-/// printed by old and new code agree.
+/// The paper's key derivation: the window's protection key is a fixed
+/// mix of its virtual address.
 uint64_t derive_key(uint64_t vaddr) { return vaddr * 0x9e3779b97f4a7c15ULL; }
 
 }  // namespace

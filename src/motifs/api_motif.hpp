@@ -10,9 +10,10 @@
 // — so a subclass only writes setup() (local window/buffer creation, no
 // network traffic) and start(rank) (the first simulated action).
 //
-// The spec's transport field is ignored for API motifs: the API layer
-// *is* the transport, and building a second endpoint stack would hijack
-// packet dispatch (Nic::register_proto replaces the handler per pid).
+// API motifs run only on the "rvma" transport, and scenario validation
+// rejects any other: the API layer *is* the transport, and building a
+// second endpoint stack would hijack packet dispatch
+// (Nic::register_proto replaces the handler per pid).
 #pragma once
 
 #include <cstdint>

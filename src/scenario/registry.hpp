@@ -47,9 +47,9 @@ struct MotifEntry {
       build;
   /// API-layer motif: when set, `build` is unused and run_scenario runs
   /// the returned motif directly against the public rvma.h surface. The
-  /// spec's transport field is ignored for these motifs — the API layer
-  /// *is* the transport (see motifs/api_motif.hpp). Same purity contract
-  /// as `build`; returns nullptr with *error set on bad parameters.
+  /// API layer *is* the transport, so validation rejects any transport
+  /// but "rvma" (see motifs/api_motif.hpp). Same purity contract as
+  /// `build`; returns nullptr with *error set on bad parameters.
   std::function<std::unique_ptr<motifs::ApiMotif>(const ScenarioSpec& spec,
                                                   std::string* error)>
       build_api{};

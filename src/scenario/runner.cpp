@@ -32,6 +32,13 @@ bool resolve(const ScenarioSpec& spec, net::NetworkConfig* cfg,
     return fail("unknown transport \"" + spec.transport + "\"");
   *motif = motifs_registry().find(spec.motif);
   if (*motif == nullptr) return fail("unknown motif \"" + spec.motif + "\"");
+  // API motifs drive rvma.h, which is RVMA itself: under any other
+  // transport name the run would be an RVMA result mislabelled.
+  if ((*motif)->build_api && spec.transport != "rvma") {
+    return fail("motif \"" + spec.motif +
+                "\" runs on the rvma.h API and needs transport \"rvma\", "
+                "not \"" + spec.transport + "\"");
+  }
 
   cfg->topology = topo->kind;
   cfg->routing = routing;

@@ -63,7 +63,8 @@ void SocketsTransport::setup(const std::vector<motifs::Channel>& channels,
                              });
     ++port;
   }
-  scratch_.assign(max_bytes, std::byte{0});
+  scratch_.assign(static_cast<std::size_t>(cluster_.num_shards()),
+                  std::vector<std::byte>(max_bytes, std::byte{0}));
   if (channels.empty()) cluster_.engine().schedule(0, std::move(ready));
 }
 
@@ -75,19 +76,20 @@ void SocketsTransport::recv_post(int, int, std::uint64_t) {
 void SocketsTransport::send(int src, int dst, std::uint64_t tag,
                             std::function<void()> done) {
   ChannelState& cs = state(src, dst, tag);
-  ++stats_.data_messages;
-  stacks_[src]->send(cs.send_conn, scratch_.data(), cs.ch.bytes);
+  ++cs.sent;
+  stacks_[src]->send(cs.send_conn, scratch(src).data(), cs.ch.bytes);
   // Stream semantics: the send is fire-and-forget; the sender's buffer is
   // reusable as soon as the stack has staged the put.
-  cluster_.engine().schedule(0, std::move(done));
+  cluster_.engine_for(src).schedule(0, std::move(done));
 }
 
 void SocketsTransport::drain(ChannelState& cs) {
   sockets::SocketStack& stack = *stacks_[cs.ch.dst];
+  std::vector<std::byte>& sink = scratch(cs.ch.dst);
   while (cs.draining > 0) {
     const std::uint64_t got = stack.recv(
-        cs.recv_conn, scratch_.data(),
-        std::min<std::uint64_t>(cs.draining, scratch_.size()));
+        cs.recv_conn, sink.data(),
+        std::min<std::uint64_t>(cs.draining, sink.size()));
     if (got == 0) break;
     cs.draining -= got;
   }
@@ -97,9 +99,12 @@ void SocketsTransport::drain(ChannelState& cs) {
   }
   auto done = std::move(cs.waiters.front());
   cs.waiters.pop_front();
+  // Only a wait queued before done() needs its drain started here: a
+  // recv_wait that done() issues on this channel starts its own, and a
+  // second drain would complete a message that never arrived.
+  const bool queued = !cs.waiters.empty();
   done();
-  // Start the next queued message drain, if any.
-  if (!cs.waiters.empty()) {
+  if (queued) {
     cs.draining = cs.ch.bytes;
     drain(cs);
   }
@@ -115,190 +120,33 @@ void SocketsTransport::recv_wait(int dst, int src, std::uint64_t tag,
   }
 }
 
-// -------------------------------------------------------------------- rma
-
-RmaTransport::RmaTransport(cluster::Cluster& cluster,
-                           const core::RvmaParams& params, int bucket_depth)
-    : cluster_(cluster), bucket_depth_(bucket_depth) {
-  endpoints_.reserve(cluster.num_nodes());
-  for (int node = 0; node < cluster.num_nodes(); ++node) {
-    endpoints_.push_back(
-        std::make_unique<core::RvmaEndpoint>(cluster.nic(node), params));
-  }
-}
-
-RmaTransport::ChannelState& RmaTransport::state(int src, int dst,
-                                                std::uint64_t tag) {
-  const auto it = channels_.find({src, dst, tag});
-  assert(it != channels_.end() && "undeclared channel");
-  return it->second;
-}
-
-void RmaTransport::setup(const std::vector<motifs::Channel>& channels,
-                         std::function<void()> ready) {
-  for (const motifs::Channel& ch : channels) {
-    ChannelState cs;
-    cs.ch = ch;
-    cs.vaddr = next_vaddr_++;
-    cs.remaining_posts = ch.count;
-    channels_.emplace(std::make_tuple(ch.src, ch.dst, ch.tag), std::move(cs));
-  }
-  for (auto& [key, cs_ref] : channels_) {
-    ChannelState& cs = cs_ref;
-    core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
-    // One operation per epoch: the message completes when its put has
-    // fully arrived, independent of length — op-counted completion.
-    ep.init_window(cs.vaddr, 1, core::EpochType::kOps);
-    for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
-      ep.post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
-      --cs.remaining_posts;
-    }
-    ep.set_completion_observer(cs.vaddr, [this, &cs](void*, std::int64_t) {
-      ++cs.completed;
-      if (cs.remaining_posts > 0) {
-        endpoints_[cs.ch.dst]->post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
-        --cs.remaining_posts;
-      }
-      if (!cs.waiters.empty() && cs.completed > cs.consumed) {
-        ++cs.consumed;
-        auto done = std::move(cs.waiters.front());
-        cs.waiters.pop_front();
-        done();
-      }
-    });
-  }
-  cluster_.engine().schedule(0, std::move(ready));
-}
-
-void RmaTransport::recv_post(int, int, std::uint64_t) {}
-
-void RmaTransport::send(int src, int dst, std::uint64_t tag,
-                        std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  ++stats_.data_messages;
-  endpoints_[src]->put(dst, cs.vaddr, 0, nullptr, cs.ch.bytes,
-                       std::move(done));
-}
-
-void RmaTransport::recv_wait(int dst, int src, std::uint64_t tag,
-                             std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  if (cs.completed > cs.consumed) {
-    ++cs.consumed;
-    cluster_.engine().schedule(0, std::move(done));
-    return;
-  }
-  cs.waiters.push_back(std::move(done));
-}
-
-// ---------------------------------------------------------------- portals
-
-PortalsTransport::PortalsTransport(cluster::Cluster& cluster,
-                                   const core::RvmaParams& params,
-                                   int bucket_depth)
-    : cluster_(cluster), bucket_depth_(bucket_depth) {
-  endpoints_.reserve(cluster.num_nodes());
-  match_lists_.reserve(cluster.num_nodes());
-  for (int node = 0; node < cluster.num_nodes(); ++node) {
-    endpoints_.push_back(
-        std::make_unique<core::RvmaEndpoint>(cluster.nic(node), params));
-    match_lists_.push_back(std::make_unique<portals::MatchList>());
-  }
-}
-
-PortalsTransport::ChannelState& PortalsTransport::state(int src, int dst,
-                                                        std::uint64_t tag) {
-  const auto it = channels_.find({src, dst, tag});
-  assert(it != channels_.end() && "undeclared channel");
-  return it->second;
-}
-
-void PortalsTransport::setup(const std::vector<motifs::Channel>& channels,
-                             std::function<void()> ready) {
-  obs::Counter& traversed =
-      cluster_.metrics().counter("portals.entries_traversed");
-  obs::Counter& matched = cluster_.metrics().counter("portals.matches");
-  for (const motifs::Channel& ch : channels) {
-    ChannelState cs;
-    cs.ch = ch;
-    cs.vaddr = next_vaddr_++;
-    cs.remaining_posts = ch.count;
-    channels_.emplace(std::make_tuple(ch.src, ch.dst, ch.tag), std::move(cs));
-  }
-  for (auto& [key, cs_ref] : channels_) {
-    ChannelState& cs = cs_ref;
-    core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
-    // The posted receive as a persistent match entry: source-qualified,
-    // exact match bits, appended in channel declaration order.
-    match_lists_[cs.ch.dst]->append(portals::MatchEntry{
-        .match_bits = cs.ch.tag,
-        .source = cs.ch.src,
-        .use_once = false,
-    });
-    ep.init_window(cs.vaddr, static_cast<std::int64_t>(cs.ch.bytes),
-                   core::EpochType::kBytes);
-    for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
-      ep.post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
-      --cs.remaining_posts;
-    }
-    ep.set_completion_observer(
-        cs.vaddr, [this, &cs, &traversed, &matched](void*, std::int64_t) {
-          // Model the matching unit's list walk for this arrival and
-          // account the entries it touched — the cost a single-lookup
-          // LUT never pays.
-          portals::MatchList& list = *match_lists_[cs.ch.dst];
-          const std::uint64_t before = list.entries_traversed();
-          list.match(cs.ch.src, cs.ch.tag);
-          traversed.inc(list.entries_traversed() - before);
-          matched.inc();
-          ++cs.completed;
-          if (cs.remaining_posts > 0) {
-            endpoints_[cs.ch.dst]->post_buffer_timing_only(cs.vaddr,
-                                                           cs.ch.bytes);
-            --cs.remaining_posts;
-          }
-          if (!cs.waiters.empty() && cs.completed > cs.consumed) {
-            ++cs.consumed;
-            auto done = std::move(cs.waiters.front());
-            cs.waiters.pop_front();
-            done();
-          }
-        });
-  }
-  cluster_.engine().schedule(0, std::move(ready));
-}
-
-void PortalsTransport::recv_post(int, int, std::uint64_t) {}
-
-void PortalsTransport::send(int src, int dst, std::uint64_t tag,
-                            std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  ++stats_.data_messages;
-  endpoints_[src]->put(dst, cs.vaddr, 0, nullptr, cs.ch.bytes,
-                       std::move(done));
-}
-
-void PortalsTransport::recv_wait(int dst, int src, std::uint64_t tag,
-                                 std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  if (cs.completed > cs.consumed) {
-    ++cs.consumed;
-    cluster_.engine().schedule(0, std::move(done));
-    return;
-  }
-  cs.waiters.push_back(std::move(done));
+const motifs::TransportStats& SocketsTransport::stats() const {
+  stats_ = motifs::TransportStats{};
+  for (const auto& [key, cs] : channels_) stats_.data_messages += cs.sent;
+  return stats_;
 }
 
 // --------------------------------------------------------- registration
 
 void register_builtin_transports(Registry<TransportEntry>& reg) {
-  reg.add("rvma",
-          {"RVMA mailboxes: byte-threshold windows, no handshakes",
-           [](cluster::Cluster& cluster, const ScenarioSpec&) {
-             return std::unique_ptr<motifs::Transport>(
-                 std::make_unique<motifs::RvmaTransport>(cluster,
-                                                         core::RvmaParams{}));
-           }});
+  // The three mailbox keys share one transport; the key fixes how a
+  // receiver learns that a message has landed.
+  const auto mailbox = [](motifs::RvmaTransport::Completion completion) {
+    return [completion](cluster::Cluster& cluster, const ScenarioSpec&) {
+      return std::unique_ptr<motifs::Transport>(
+          std::make_unique<motifs::RvmaTransport>(
+              cluster, core::RvmaParams{}, completion));
+    };
+  };
+  using Completion = motifs::RvmaTransport::Completion;
+  reg.add("rvma", {"RVMA mailboxes: byte-threshold windows, no handshakes",
+                   mailbox(Completion::kBytes)});
+  reg.add("rma",
+          {"op-counted RVMA epochs: one operation completes a message",
+           mailbox(Completion::kOps)});
+  reg.add("portals",
+          {"RVMA wire with Portals-style match-list receive resolution",
+           mailbox(Completion::kMatched)});
   reg.add("rdma",
           {"RDMA baseline: buffer negotiation, credits, CQ completions",
            [](cluster::Cluster& cluster, const ScenarioSpec& spec) {
@@ -315,19 +163,6 @@ void register_builtin_transports(Registry<TransportEntry>& reg) {
              return std::unique_ptr<motifs::Transport>(
                  std::make_unique<SocketsTransport>(cluster,
                                                     sockets::SocketParams{}));
-           }});
-  reg.add("rma",
-          {"op-counted RVMA epochs: one operation completes a message",
-           [](cluster::Cluster& cluster, const ScenarioSpec&) {
-             return std::unique_ptr<motifs::Transport>(
-                 std::make_unique<RmaTransport>(cluster, core::RvmaParams{}));
-           }});
-  reg.add("portals",
-          {"RVMA wire with Portals-style match-list receive resolution",
-           [](cluster::Cluster& cluster, const ScenarioSpec&) {
-             return std::unique_ptr<motifs::Transport>(
-                 std::make_unique<PortalsTransport>(cluster,
-                                                    core::RvmaParams{}));
            }});
 }
 

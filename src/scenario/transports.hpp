@@ -1,8 +1,7 @@
-// Scenario transport adapters beyond the rvma/rdma motif transports:
-// sockets (receiver-managed stream middleware), rma (op-counted epochs),
-// and portals (list matching on the receive path). Each implements the
-// motifs::Transport interface so any registered motif runs over any
-// registered backend.
+// The sockets scenario transport: the receiver-managed stream middleware
+// as a motifs::Transport, so any registered motif runs over it. The
+// mailbox transports (rvma, rma, portals) are modes of
+// motifs::RvmaTransport; rdma is motifs::RdmaTransport.
 #pragma once
 
 #include <deque>
@@ -12,7 +11,6 @@
 #include "core/endpoint.hpp"
 #include "motifs/transport.hpp"
 #include "cluster/cluster.hpp"
-#include "portals/match_list.hpp"
 #include "sockets/socket_stack.hpp"
 
 namespace rvma::scenario {
@@ -35,7 +33,7 @@ class SocketsTransport final : public motifs::Transport {
             std::function<void()> done) override;
   void recv_wait(int dst, int src, std::uint64_t tag,
                  std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override { return stats_; }
+  const motifs::TransportStats& stats() const override;
 
   sockets::SocketStack& stack(int node) { return *stacks_[node]; }
 
@@ -44,6 +42,7 @@ class SocketsTransport final : public motifs::Transport {
     motifs::Channel ch;
     sockets::ConnId send_conn = 0;  ///< valid on the src node's stack
     sockets::ConnId recv_conn = 0;  ///< valid on the dst node's stack
+    std::uint64_t sent = 0;  ///< written only on src's shard thread
     /// Bytes of the message currently being drained by recv_wait.
     std::uint64_t draining = 0;
     std::deque<std::function<void()>> waiters;
@@ -51,97 +50,19 @@ class SocketsTransport final : public motifs::Transport {
 
   ChannelState& state(int src, int dst, std::uint64_t tag);
   void drain(ChannelState& cs);
+  std::vector<std::byte>& scratch(int node) {
+    return scratch_[static_cast<std::size_t>(cluster_.shard_of_node(node))];
+  }
 
   cluster::Cluster& cluster_;
   std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
   std::vector<std::unique_ptr<sockets::SocketStack>> stacks_;
   std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
-  std::vector<std::byte> scratch_;  ///< zero payload for timing sends
-  motifs::TransportStats stats_;
-};
-
-/// Op-counted mailboxes (paper §IV-E flavor): each channel's window uses
-/// an operations threshold of one, so a message completes when its put
-/// has fully arrived regardless of length — the RMA epoch primitive the
-/// fence machinery in src/rma builds on, here exposed as a transport.
-class RmaTransport final : public motifs::Transport {
- public:
-  RmaTransport(cluster::Cluster& cluster, const core::RvmaParams& params,
-               int bucket_depth = 16);
-
-  std::string name() const override { return "rma"; }
-  void setup(const std::vector<motifs::Channel>& channels,
-             std::function<void()> ready) override;
-  void recv_post(int dst, int src, std::uint64_t tag) override;
-  void send(int src, int dst, std::uint64_t tag,
-            std::function<void()> done) override;
-  void recv_wait(int dst, int src, std::uint64_t tag,
-                 std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override { return stats_; }
-
- private:
-  struct ChannelState {
-    motifs::Channel ch;
-    std::uint64_t vaddr = 0;
-    int remaining_posts = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
-  };
-
-  ChannelState& state(int src, int dst, std::uint64_t tag);
-
-  cluster::Cluster& cluster_;
-  int bucket_depth_;
-  std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
-  std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
-  motifs::TransportStats stats_;
-  std::uint64_t next_vaddr_ = 0x33AA0000;  // rma mailbox namespace
-};
-
-/// RVMA wire with Portals-style receive-side resolution: every channel's
-/// posted receive is a match-list entry, and each completed message walks
-/// the node's posted-order list (paper §II / §IV-A). The walk changes no
-/// timing here — it quantifies the matching work RVMA's single-lookup
-/// LUT avoids, surfaced via the portals.match_* registry counters.
-class PortalsTransport final : public motifs::Transport {
- public:
-  PortalsTransport(cluster::Cluster& cluster, const core::RvmaParams& params,
-                   int bucket_depth = 16);
-
-  std::string name() const override { return "portals"; }
-  void setup(const std::vector<motifs::Channel>& channels,
-             std::function<void()> ready) override;
-  void recv_post(int dst, int src, std::uint64_t tag) override;
-  void send(int src, int dst, std::uint64_t tag,
-            std::function<void()> done) override;
-  void recv_wait(int dst, int src, std::uint64_t tag,
-                 std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override { return stats_; }
-
-  const portals::MatchList& match_list(int node) const {
-    return *match_lists_[node];
-  }
-
- private:
-  struct ChannelState {
-    motifs::Channel ch;
-    std::uint64_t vaddr = 0;
-    int remaining_posts = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
-  };
-
-  ChannelState& state(int src, int dst, std::uint64_t tag);
-
-  cluster::Cluster& cluster_;
-  int bucket_depth_;
-  std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<portals::MatchList>> match_lists_;
-  std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
-  motifs::TransportStats stats_;
-  std::uint64_t next_vaddr_ = 0x44BB0000;  // portals mailbox namespace
+  /// Zero payload for timing sends and sink for drains, one per shard so
+  /// only that shard's thread ever touches it.
+  std::vector<std::vector<std::byte>> scratch_;
+  /// Aggregated from per-channel counters on demand (see RvmaTransport).
+  mutable motifs::TransportStats stats_;
 };
 
 }  // namespace rvma::scenario

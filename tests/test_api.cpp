@@ -14,13 +14,13 @@
 #include "api/rvma.h"
 #include "cluster/cluster.hpp"
 #include "core/endpoint.hpp"
+#include "exec/sweep_executor.hpp"
 #include "scenario/figure_grid.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
 namespace {
 
-using rvma::scenario::GridCell;
 using rvma::scenario::GridSpec;
 using rvma::scenario::ScenarioResult;
 using rvma::scenario::ScenarioSpec;
@@ -33,8 +33,7 @@ rvma::net::NetworkConfig star(int nodes) {
 }
 
 /// Two-node serial cluster with one API context per node. Calls made
-/// before engine().run() model time-zero application setup, exactly as
-/// the legacy C-API tests do.
+/// before engine().run() model time-zero application setup.
 class ApiTest : public ::testing::Test {
  protected:
   ApiTest() : cluster_(star(2), rvma::nic::NicParams{}) {
@@ -304,6 +303,116 @@ TEST_F(ApiTest, FinalizeOnWrappedEndpointDetachesState) {
   EXPECT_EQ(ep->completions(0xA000), 1u);
 }
 
+TEST_F(ApiTest, InitWindowAndPostBufferValidateArguments) {
+  EXPECT_EQ(rvma_init_window(b_, 0xB000, nullptr, 0, RVMA_EPOCH_BYTES),
+            nullptr);  // a window must have a completion threshold
+  rvma_win win = rvma_init_window(b_, 0xB000, nullptr, 64, RVMA_EPOCH_BYTES);
+  ASSERT_NE(win, nullptr);
+  unsigned char buf[64];
+  EXPECT_EQ(rvma_post_buffer(win, nullptr, 64, nullptr), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_post_buffer(win, buf, 0, nullptr), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_post_buffer(nullptr, buf, 64, nullptr), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_post_buffer(win, buf, 64, nullptr), RVMA_SUCCESS);
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
+}
+
+TEST_F(ApiTest, NotificationLineGetsHeadAndLength) {
+  // The paper's two-word completion region (§III-B): the NIC writes the
+  // completed buffer's head to word 0 and the received length to word 1.
+  rvma_win win = rvma_init_window(b_, 0xB100, nullptr, 64, RVMA_EPOCH_BYTES);
+  ASSERT_NE(win, nullptr);
+  alignas(64) void* line[8] = {};
+  std::vector<unsigned char> buffer(64, 0);
+  ASSERT_EQ(rvma_post_buffer(win, buffer.data(), 64, &line[0]),
+            RVMA_SUCCESS);
+
+  std::vector<unsigned char> payload(64, 0x7E);
+  ASSERT_EQ(rvma_put(a_, payload.data(), 1, 0xB100, 64), RVMA_SUCCESS);
+  cluster_.engine().run();
+
+  EXPECT_EQ(line[0], buffer.data());
+  EXPECT_EQ(reinterpret_cast<int64_t*>(line)[1], 64);
+  EXPECT_EQ(buffer[0], 0x7E);
+  EXPECT_EQ(rvma_win_get_epoch(win), 1);
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
+}
+
+TEST_F(ApiTest, WinCloseStopsTraffic) {
+  rvma_win win = rvma_init_window(b_, 0xB200, nullptr, 64, RVMA_EPOCH_BYTES);
+  ASSERT_NE(win, nullptr);
+  std::vector<unsigned char> buf(64, 0);
+  ASSERT_EQ(rvma_post_buffer(win, buf.data(), 64, nullptr), RVMA_SUCCESS);
+  ASSERT_EQ(rvma_win_close(win), RVMA_SUCCESS);
+
+  std::vector<unsigned char> payload(64, 0x33);
+  ASSERT_EQ(rvma_put(a_, payload.data(), 1, 0xB200, 64), RVMA_SUCCESS);
+  cluster_.engine().run();
+
+  EXPECT_EQ(cluster_.collect_metrics().counters.at("rvma.drops_closed"), 1u);
+  EXPECT_EQ(rvma_win_completions(win), 0u);
+  EXPECT_EQ(buf[0], 0);
+  rvma_win_free(win);
+}
+
+TEST_F(ApiTest, IncEpochAndGetBufPtrs) {
+  rvma_win win = rvma_init_window(b_, 0xB300, nullptr, 1024,
+                                  RVMA_EPOCH_BYTES);
+  ASSERT_NE(win, nullptr);
+  void* line_a[2] = {};
+  void* line_b[2] = {};
+  std::vector<unsigned char> buf_a(1024), buf_b(1024);
+  ASSERT_EQ(rvma_post_buffer(win, buf_a.data(), 1024, &line_a[0]),
+            RVMA_SUCCESS);
+  ASSERT_EQ(rvma_post_buffer(win, buf_b.data(), 1024, &line_b[0]),
+            RVMA_SUCCESS);
+
+  void* ptrs[4] = {};
+  EXPECT_EQ(rvma_win_get_buf_ptrs(win, ptrs, 4), 2);
+  EXPECT_EQ(ptrs[0], static_cast<void*>(&line_a[0]));
+  EXPECT_EQ(ptrs[1], static_cast<void*>(&line_b[0]));
+
+  // Forcing the epoch completes the untouched head buffer with length 0.
+  EXPECT_EQ(rvma_win_inc_epoch(win), RVMA_SUCCESS);
+  cluster_.engine().run();
+  EXPECT_EQ(rvma_win_get_epoch(win), 1);
+  EXPECT_EQ(line_a[0], static_cast<void*>(buf_a.data()));
+  EXPECT_EQ(reinterpret_cast<int64_t*>(line_a)[1], 0);
+  EXPECT_EQ(rvma_win_get_buf_ptrs(win, ptrs, 4), 1);
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
+}
+
+TEST_F(ApiTest, PutOffsetAssemblesOneBuffer) {
+  std::vector<unsigned char> dst(64, 0);
+  rvma_win win = rvma_capture_at(b_, 0xB400, dst.data(), 64);
+  ASSERT_NE(win, nullptr);
+  std::vector<unsigned char> lo(32, 0x10), hi(32, 0x20);
+  ASSERT_EQ(rvma_put_offset(a_, lo.data(), 1, 0xB400, 0, 32), RVMA_SUCCESS);
+  ASSERT_EQ(rvma_put_offset(a_, hi.data(), 1, 0xB400, 32, 32),
+            RVMA_SUCCESS);
+  cluster_.engine().run();
+  EXPECT_EQ(dst[0], 0x10);
+  EXPECT_EQ(dst[31], 0x10);
+  EXPECT_EQ(dst[32], 0x20);
+  EXPECT_EQ(dst[63], 0x20);
+  EXPECT_EQ(rvma_win_completions(win), 1u);  // both halves, one epoch
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
+}
+
+TEST_F(ApiTest, GetExReadsAtOffset) {
+  std::vector<unsigned char> data(256);
+  for (int i = 0; i < 256; ++i) data[i] = static_cast<unsigned char>(i);
+  rvma_win src = rvma_capture_at(b_, 0xB500, data.data(), 256);
+  ASSERT_NE(src, nullptr);
+  std::vector<unsigned char> local(64, 0);
+  ASSERT_EQ(rvma_get_ex(a_, 1, 0xB500, 100, 64, local.data(), 0, nullptr,
+                        nullptr),
+            RVMA_SUCCESS);
+  cluster_.engine().run();
+  EXPECT_EQ(local[0], 100);
+  EXPECT_EQ(local[63], 163);
+  EXPECT_EQ(rvma_release(b_, src), RVMA_SUCCESS);
+}
+
 // ---- API-motif byte-identity gates -------------------------------------
 
 ScenarioSpec motif_spec(const std::string& motif, const std::string& topo) {
@@ -384,7 +493,10 @@ TEST(ApiMotifIdentity, DoorbellBatchingGate) {
             base_db);
 }
 
-/// Mini grid over an API motif: jobs=1 and jobs=4 agree cell-for-cell.
+/// Mini grid over an API motif. A figure grid always runs an RDMA half,
+/// which an API motif cannot honour, so the grid is refused before any
+/// cell runs. Its RVMA cells, run through the sweep executor, agree
+/// cell-for-cell at jobs=1 and jobs=4.
 TEST(ApiMotifIdentity, GridJobsIdentity) {
   GridSpec grid;
   grid.figure = "api-mini";
@@ -392,12 +504,28 @@ TEST(ApiMotifIdentity, GridJobsIdentity) {
   grid.base = motif_spec("kv_store", "star");
   grid.cases = {"star-static", "torus3d-static"};
   grid.gbps = {100, 400};
-  std::vector<GridCell> serial, parallel;
+  std::vector<rvma::scenario::GridCell> cells;
   std::string error;
-  ASSERT_TRUE(rvma::scenario::run_grid(grid, 1, &serial, &error)) << error;
-  ASSERT_TRUE(rvma::scenario::run_grid(grid, 4, &parallel, &error)) << error;
-  ASSERT_EQ(serial.size(), parallel.size());
-  EXPECT_EQ(serial, parallel);
+  EXPECT_FALSE(rvma::scenario::run_grid(grid, 1, &cells, &error));
+  EXPECT_NE(error.find("\"rdma\""), std::string::npos) << error;
+
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t c = 0; c < grid.cases.size(); ++c) {
+    rvma::scenario::TopoCase tc;
+    ASSERT_TRUE(rvma::scenario::resolve_topo_case(grid.cases[c], &tc, &error))
+        << error;
+    for (std::size_t g = 0; g < grid.gbps.size(); ++g) {
+      specs.push_back(rvma::scenario::expand_cell(grid, tc, c, g,
+                                                  /*use_rvma=*/true));
+    }
+  }
+  auto run_all = [&](int jobs) {
+    return rvma::exec::sweep_map<ScenarioResult>(
+        jobs, specs.size(), [&](std::size_t i) { return run_ok(specs[i]); });
+  };
+  const std::vector<ScenarioResult> serial = run_all(1);
+  EXPECT_EQ(run_all(4), serial);
+  for (const ScenarioResult& r : serial) EXPECT_GT(r.makespan, 0);
 }
 
 }  // namespace

@@ -180,6 +180,26 @@ TEST(ScenarioValidate, RejectsUnknownNamesAndParams) {
   EXPECT_NE(error.find("iterations"), std::string::npos);
 }
 
+/// An API motif is its own RVMA transport: naming another transport
+/// would report an RVMA run under the wrong label, so it fails loud.
+TEST(ScenarioValidate, ApiMotifsRejectNonRvmaTransports) {
+  ScenarioSpec spec;
+  spec.nodes = 4;
+  spec.motif = "kv_store";
+  spec.motif_params = {{"servers", "1"}, {"requests", "2"}};
+  std::string error;
+  ASSERT_TRUE(validate_scenario(spec, &error)) << error;
+  for (const auto& [name, entry] : transports().entries()) {
+    if (name == "rvma") continue;
+    spec.transport = name;
+    error.clear();
+    EXPECT_FALSE(validate_scenario(spec, &error)) << name;
+    EXPECT_NE(error.find("\"" + name + "\""), std::string::npos) << error;
+    ScenarioResult result;
+    EXPECT_FALSE(run_scenario(spec, &result, &error)) << name;
+  }
+}
+
 /// Minimal motif params keeping the registry smoke fast; every registered
 /// motif must have an entry here (the assert below catches new motifs).
 const std::map<std::string, MotifParams>& smoke_motif_params() {
@@ -221,6 +241,21 @@ TEST(ScenarioRegistry, EveryTopologyMaterializes) {
   }
 }
 
+/// Engine-internal scheduler counters differ between the serial and the
+/// windowed scheduler by construction (window wake events); the
+/// shards-vs-serial contract (test_pdes_matrix, test_api) compares
+/// everything observable except those.
+ScenarioResult normalize_engine_internals(ScenarioResult r) {
+  r.engine_events = 0;
+  r.metrics.counters.erase("engine.events_executed");
+  r.metrics.counters.erase("engine.events_scheduled");
+  return r;
+}
+
+/// Every transport materializes, and its sharded runs match the serial
+/// oracle. The sharded half needs a multi-switch topology (the smoke
+/// spec's star has one switch, so Cluster clamps it to one shard) and
+/// enough traffic that messages complete before their receive is posted.
 TEST(ScenarioRegistry, EveryTransportMaterializes) {
   for (const auto& [name, entry] : transports().entries()) {
     EXPECT_FALSE(entry.description.empty()) << name;
@@ -230,6 +265,34 @@ TEST(ScenarioRegistry, EveryTransportMaterializes) {
     std::string error;
     ASSERT_TRUE(run_scenario(spec, &result, &error)) << name << ": " << error;
     EXPECT_GT(result.makespan, 0) << name;
+
+    spec.topology = "torus3d";
+    spec.nodes = 27;
+    spec.motif = "halo3d";
+    spec.motif_params = smoke_motif_params().at("halo3d");
+    spec.motif_params["iterations"] = "2";
+    ScenarioResult serial;
+    ASSERT_TRUE(run_scenario(spec, &serial, &error)) << name << ": " << error;
+    serial = normalize_engine_internals(serial);
+    EXPECT_GT(serial.packets_delivered, 0u) << name;
+    for (int shards : {2, 4}) {
+      ScenarioSpec sharded = spec;
+      sharded.par_shards = shards;
+      // The PDES profile records the shard count the cluster really used.
+      sharded.pdes_profile_path =
+          ::testing::TempDir() + "pdes_" + name + ".json";
+      ScenarioResult out;
+      ASSERT_TRUE(run_scenario(sharded, &out, &error))
+          << name << " @ par_shards=" << shards << ": " << error;
+      EXPECT_EQ(normalize_engine_internals(out), serial)
+          << name << " @ par_shards=" << shards;
+      EXPECT_NE(read_file(sharded.pdes_profile_path)
+                    .find("\"par_shards\":\"" + std::to_string(shards) +
+                          "\""),
+                std::string::npos)
+          << name << " did not shard at par_shards=" << shards;
+      std::remove(sharded.pdes_profile_path.c_str());
+    }
   }
 }
 

@@ -9,8 +9,10 @@
 # express-exactness tests (whose mini-grid runs express and hop-by-hop
 # fabrics concurrently across worker threads — the pooled non-atomic
 # message refcount must stay engine-local), the scenario-layer tests
-# (registry materialization plus the rvma_run grid replay, which fans
-# cells out over the executor), and the PDES tests (the ShardedEngine's
+# (registry materialization, sharded runs at K in {2,4} of all five
+# transports — rvma, rma, portals, rdma, sockets — against their serial
+# result, and the rvma_run grid replay, which fans cells out over the
+# executor), and the PDES tests (the ShardedEngine's
 # window barriers, cross-shard SPSC channels, and the windowed-vs-serial
 # exactness runs, which exercise the full multi-threaded shard path),
 # the lookahead-matrix tests (per-destination windows, unreachable-pair
