@@ -6,7 +6,6 @@
 #include <new>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 
 namespace rvma::cluster {
 
@@ -36,20 +35,18 @@ nic::Nic* Cluster::NicSlab::emplace(sim::Engine& engine, net::Network& network,
 Cluster::Cluster(const net::NetworkConfig& net_config,
                  const nic::NicParams& nic_params, int par_shards) {
   // Every experiment builds a Cluster, so this is the one-time hook for
-  // the environment-driven diagnostics (RVMA_LOG / RVMA_TRACE).
+  // the environment-driven log level (RVMA_LOG).
   static const bool env_initialized = [] {
     init_log_from_env();
-    init_trace_from_env();
     return true;
   }();
   (void)env_initialized;
 
   int k = std::max(1, par_shards);
-  // Exact sharding requires static routing (adaptive consults a
+  // Exact sharding requires static routing: adaptive consults a
   // per-Network RNG stream, which would diverge across shard-local
-  // replicas) and no global trace sink (one serial stream).
+  // replicas.
   if (net_config.routing != net::Routing::kStatic) k = 1;
-  if (Tracer::global().enabled()) k = 1;
 
   // Shard 0 is built first: its network tells us the switch count and the
   // cross-shard lookahead, which bound how many shards are viable.

@@ -15,8 +15,8 @@
 // shard boundary — only transit hops do, handed across through
 // sim::ShardedEngine's windowed channels (DESIGN.md §12). Falls back to
 // one shard whenever conservative sharding cannot be exact: adaptive
-// routing (per-network RNG streams would diverge), an active global
-// tracer (one serial sink), or zero cross-shard lookahead.
+// routing (per-network RNG streams would diverge) or zero cross-shard
+// lookahead.
 #pragma once
 
 #include <memory>

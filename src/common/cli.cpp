@@ -94,7 +94,12 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   consumed_[key] = true;
   const auto it = opts_.find(key);
   if (it == opts_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  // Same fail-loud contract as the numeric getters: "--timing=on" must not
+  // quietly mean false.
+  const std::string& text = it->second;
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  bad_value(key, text, "boolean");
 }
 
 std::vector<std::pair<std::string, std::string>> Cli::take_prefixed(

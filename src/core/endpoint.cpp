@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 
 namespace rvma::core {
 
@@ -266,10 +265,6 @@ void RvmaEndpoint::get(NodeId dst, std::uint64_t vaddr, std::uint64_t offset,
 
 void RvmaEndpoint::send_nack(NodeId to, net::Pid to_pid, std::uint64_t vaddr,
                              Status reason) {
-  RVMA_ETRACE(engine_, "rvma_drop",
-              {{"node", node()},
-               {"vaddr", static_cast<std::int64_t>(vaddr)},
-               {"reason", to_string(reason)}});
   if (!params_.nacks_enabled) return;
   ++stats_.nacks_sent;
   c_nacks_sent_->inc();
@@ -505,13 +500,6 @@ void RvmaEndpoint::complete_active(Mailbox& mb, bool soft) {
     ++stats_.completions;
     c_completions_->inc();
   }
-  RVMA_ETRACE(engine_, "rvma_complete",
-              {{"node", node()},
-               {"vaddr", static_cast<std::int64_t>(vaddr)},
-               {"len", len},
-               {"epoch", mb.epoch()},
-               {"soft", soft ? 1 : 0},
-               {"lat_ps", static_cast<std::int64_t>(lat)}});
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kCompletion, vaddr, node(),
             static_cast<std::int64_t>(lat));
   if (mb.has_active()) {

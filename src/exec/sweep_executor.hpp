@@ -3,12 +3,12 @@
 // The evaluation suite (Figures 7/8 motif grids, the validation sweep,
 // the ablation benches) is a grid of self-contained (config -> result)
 // simulations: each job builds its own Cluster/Engine, so nothing is
-// shared between jobs but the process-wide trace/log sinks — which are
-// now safe to share (Tracer::record emits whole lines atomically) or
-// replaceable per engine (sim::Engine::set_tracer). This executor runs
-// such grids across all cores with a small work-stealing thread pool and
-// returns results indexed by job, so callers print tables in
-// deterministic grid order no matter which worker finished what first.
+// shared between jobs but the process-wide log sink, and observability
+// outputs (flight recorder, sampler) hang off each job's own engines.
+// This executor runs such grids across all cores with a small
+// work-stealing thread pool and returns results indexed by job, so
+// callers print tables in deterministic grid order no matter which
+// worker finished what first.
 //
 // Determinism contract: jobs must not read or write process-global
 // mutable state (seed every run from its grid coordinates, never from a

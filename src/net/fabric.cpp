@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 
 namespace rvma::net {
 
@@ -219,12 +218,6 @@ void Fabric::inject(Packet&& pkt) {
   c_injected_->inc();
   ++inflight_;
   pkt.injected_at = engine_.now();
-  RVMA_ETRACE(engine_, "pkt_inject",
-              {{"src", pkt.src},
-               {"dst", pkt.dst},
-               {"msg", static_cast<std::int64_t>(pkt.msg->id)},
-               {"seq", pkt.seq},
-               {"bytes", pkt.bytes}});
 
   NodeAttach& at = node_attach_[pkt.src];
   const std::uint64_t wire = pkt.wire_bytes();
@@ -275,12 +268,6 @@ void Fabric::inject_burst(std::vector<Packet>& pkts) {
     c_injected_->inc();
     ++inflight_;
     pkt.injected_at = engine_.now();
-    RVMA_ETRACE(engine_, "pkt_inject",
-                {{"src", pkt.src},
-                 {"dst", pkt.dst},
-                 {"msg", static_cast<std::int64_t>(pkt.msg->id)},
-                 {"seq", pkt.seq},
-                 {"bytes", pkt.bytes}});
     if (reserved) pkt.res_seq = engine_.reserve_sequence(2);
     const std::uint64_t wire = pkt.wire_bytes();
     const Time start = std::max(engine_.now(), at.inj_busy);
@@ -512,16 +499,14 @@ std::size_t Fabric::try_express_burst(Packet* pkts, std::size_t n,
   }
   NodeAttach& at = node_attach_[dst];
   // Fold the delivery and the NIC receive pipeline into one event only
-  // when nothing downstream can tell: tracing off (pkt_deliver records
-  // stamp event time, which a folded event would get wrong) and no
-  // failure ever injected (deliver() checks destination liveness at the
-  // delivery instant; a folded event checks later). A sampler does NOT
-  // block folding: it observes without scheduling, so sampled and
-  // unsampled runs must execute the same events — only the express-vs-hop
-  // gauge timeseries differ, which eager charging causes anyway
-  // (DESIGN.md §8).
-  const bool fold = !engine_.tracing_enabled() && !ever_failed_ &&
-                    static_cast<bool>(at.express_rx);
+  // when nothing downstream can tell: no failure ever injected (deliver()
+  // checks destination liveness at the delivery instant; a folded event
+  // checks later). Neither a sampler nor the flight recorder blocks
+  // folding: both observe without scheduling, so observed and unobserved
+  // runs must execute the same events — the recorder stamps the true
+  // delivery instant (deliver_stats), and only the express-vs-hop gauge
+  // timeseries differ, which eager charging causes anyway (DESIGN.md §8).
+  const bool fold = !ever_failed_ && static_cast<bool>(at.express_rx);
   if (fold) {
     r.state = XState::kFolded;
     engine_.schedule_at_seq(r.delivers[0] + at.express_rx_delay,
@@ -572,14 +557,6 @@ void Fabric::deliver_stats(const Packet& pkt, Time deliver_at) {
   h_pkt_latency_ns_->record(
       static_cast<std::uint64_t>((deliver_at - pkt.injected_at) /
                                  kNanosecond));
-  RVMA_ETRACE(engine_, "pkt_deliver",
-              {{"src", pkt.src},
-               {"dst", pkt.dst},
-               {"msg", static_cast<std::int64_t>(pkt.msg->id)},
-               {"seq", pkt.seq},
-               {"hops", pkt.hops},
-               {"lat_ps",
-                static_cast<std::int64_t>(deliver_at - pkt.injected_at)}});
   // `deliver_at` is the true delivery instant even when this runs inside
   // a later folded event, so the recorded span is fold-invariant.
   RVMA_FREC(engine_, deliver_at, obs::SpanKind::kPktDeliver, pkt.msg->id,
@@ -964,14 +941,6 @@ void Fabric::deliver(NodeId node, Packet&& pkt) {
   c_wire_bytes_->inc(pkt.wire_bytes());
   --inflight_;
   h_pkt_latency_ns_->record((engine_.now() - pkt.injected_at) / kNanosecond);
-  RVMA_ETRACE(engine_, "pkt_deliver",
-              {{"src", pkt.src},
-               {"dst", pkt.dst},
-               {"msg", static_cast<std::int64_t>(pkt.msg->id)},
-               {"seq", pkt.seq},
-               {"hops", pkt.hops},
-               {"lat_ps", static_cast<std::int64_t>(engine_.now() -
-                                                    pkt.injected_at)}});
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kPktDeliver, pkt.msg->id,
             pkt.dst, static_cast<std::int64_t>(pkt.seq));
   NodeAttach& at = node_attach_[node];

@@ -110,8 +110,8 @@ class Fabric {
   void set_delivery(NodeId node, Delivery fn);
   void set_router(Router fn) { router_ = std::move(fn); }
 
-  /// Register the folded receive hook for `node`: when tracing is off,
-  /// an express-committed packet's delivery and NIC
+  /// Register the folded receive hook for `node`: unless a failure was
+  /// ever injected, an express-committed packet's delivery and NIC
   /// receive pipeline collapse into one event at delivery + `rx_delay`
   /// (the NIC's per-packet receive cost), which runs the fabric delivery
   /// bookkeeping and then hands the packet to `rx`. Installed by the NIC
@@ -152,7 +152,8 @@ class Fabric {
 
   /// Arm or disarm the express cut-through fast path (--no-express
   /// ablation). Only effective while a static route table is installed;
-  /// timing, stats, and trace output are bit-identical either way.
+  /// timing and stats are bit-identical either way, and flight-recorder
+  /// spans differ only in express_commit standing for tx_inject.
   void set_express_enabled(bool on) { express_enabled_ = on; }
   bool express_enabled() const { return express_enabled_; }
 

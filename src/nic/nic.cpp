@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 #include <memory>
 
 namespace rvma::nic {
@@ -203,8 +202,8 @@ void Nic::express_rx(Packet&& pkt) {
   // The fabric folded delivery and receive into one event firing at
   // deliver_at + rx_proc — exactly when the unfolded pipeline's dispatch
   // event would run. Do handle_delivery's counting and the dispatch
-  // directly; the fold preconditions (no tracing, no failure injection)
-  // guarantee nothing could have observed the counters in between.
+  // directly; the fold precondition (no failure injection) guarantees
+  // nothing could have observed the counters in between.
   ++packets_received_;
   c_packets_received_->inc();
   const std::uint32_t proto = net::proto_of(pkt.msg->hdr.kind);

@@ -12,10 +12,10 @@
 // recorder on vs off, the same discipline as `--no-express` and
 // jobs=1-vs-N (enforced by a run_bench.sh gate).
 //
-// Access pattern mirrors the Tracer (DESIGN §7): each Engine holds an
-// optional `FlightRecorder*`, hot paths guard with the `RVMA_FREC` macro
-// (one predictable branch when disarmed), and each shard of a sharded
-// cluster owns its own recorder so record() is single-threaded per ring.
+// Access pattern: each Engine holds an optional `FlightRecorder*`, hot
+// paths guard with the `RVMA_FREC` macro (one predictable branch when
+// disarmed), and each shard of a sharded cluster owns its own recorder
+// so record() is single-threaded per ring.
 //
 // Binary dump format ("RVFR1", DESIGN §14): a fixed header, then one
 // section per shard (shard id, dropped count, record count, records in

@@ -1,7 +1,7 @@
 // Minimal JSON value + recursive-descent parser for the analysis tools.
 //
 // Scope: exactly what rvma_metrics needs to read the documents this repo
-// writes (metrics files, JSONL trace lines) — objects, arrays, strings
+// writes (metrics files, PDES profiles) — objects, arrays, strings
 // with basic escapes, integer/double numbers, booleans, null. Not a
 // general-purpose library; no external dependencies.
 #pragma once

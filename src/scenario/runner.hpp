@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_io.hpp"
 #include "obs/sampler.hpp"
@@ -27,9 +26,6 @@ struct ScenarioResult {
   std::uint64_t packets_delivered = 0;
   std::uint64_t route_cache_hits = 0;
   std::uint64_t engine_events = 0;
-  /// Events recorded into the per-run sink; 0 when the run used the
-  /// process-default sink (per-run attribution impossible there).
-  std::uint64_t trace_events = 0;
   /// Full registry dump for the run (counters, gauge high-waters,
   /// histograms) — mergeable across grids in grid order.
   obs::MetricsSnapshot metrics;
@@ -48,6 +44,7 @@ struct RunTiming {
   double sim_wall_s = 0;        ///< motif execution only
   std::size_t route_table_bytes = 0;  ///< resident static-route bytes, all shards
   std::size_t peak_rss_bytes = 0;     ///< process VmHWM after the run
+  int shards = 0;  ///< engine shards the run used, after Cluster's clamps
 };
 
 /// Resolve every registry name in `spec` and build the motif programs
@@ -56,13 +53,19 @@ struct RunTiming {
 /// before fanning a grid out so workers cannot fail mid-sweep.
 bool validate_scenario(const ScenarioSpec& spec, std::string* error);
 
-/// Run one scenario. When `trace_sink` is non-null it becomes the run's
-/// engine sink (per-run isolation); null keeps the process default.
-/// `eng_id` is stamped into every trace record so analyses can separate
-/// runs sharing one sink; grid runners pass the run index.
+/// Run one scenario. When `timing` is non-null it receives the run's
+/// host-side wall clocks, memory and effective shard count.
 bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
-                  std::string* error, Tracer* trace_sink = nullptr,
-                  std::int64_t eng_id = 0, RunTiming* timing = nullptr);
+                  std::string* error, RunTiming* timing = nullptr);
+
+/// Old signature, kept only for the frozen benchmark driver
+/// (rvbench/rvbench.cpp), which passes nullptr and 0 for the removed
+/// trace-sink and engine-id arguments.
+inline bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
+                         std::string* error, std::nullptr_t, std::int64_t,
+                         RunTiming* timing) {
+  return run_scenario(spec, out, error, timing);
+}
 
 /// Metrics document for a single (non-grid) run.
 obs::MetricsDoc build_scenario_metrics_doc(const ScenarioSpec& spec,

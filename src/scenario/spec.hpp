@@ -72,7 +72,8 @@ struct ScenarioSpec {
   /// serial; K > 1 shards the switches over K lock-step worker engines.
   /// Results are bit-identical either way — this knob only trades wall
   /// clock. Clamped back to 1 whenever exact sharding is impossible
-  /// (adaptive routing, sampling, tracing, zero lookahead).
+  /// (adaptive routing, sampling, zero lookahead); never exceeds the
+  /// switch count.
   int par_shards = 1;
   /// Simulated-time gauge sampling period; 0 disables sampling.
   Time sample_period = 0;
@@ -80,9 +81,9 @@ struct ScenarioSpec {
   // ---- outputs ----
   std::string metrics_path;  ///< write rvma-metrics-v1 doc here when set
   /// Write the flight recorder's binary "RVFR1" span dump here when set.
-  /// Arming the recorder is purely passive — it never changes tables,
-  /// metrics, or traces (obs/flight_recorder.hpp), so this field is an
-  /// output path, not a simulation parameter.
+  /// Arming the recorder is purely passive — it never changes tables or
+  /// metrics (obs/flight_recorder.hpp), so this field is an output path,
+  /// not a simulation parameter.
   std::string flight_recorder_path;
   /// Per-shard recorder ring capacity in records; 0 uses the default
   /// (obs::FlightRecorder::kDefaultCapacity). Oldest records are

@@ -350,6 +350,25 @@ TEST(Cli, MalformedDoubleFailsLoud) {
   EXPECT_EXIT(parse("--x=+1.5"), ::testing::ExitedWithCode(0), "");
 }
 
+TEST(Cli, MalformedBoolFailsLoud) {
+  // An unrecognised value must not read as false: "--timing=on" would
+  // silently disable the flag it meant to enable.
+  auto parse = [](const char* val, bool expect) {
+    const char* argv[] = {"prog", val};
+    Cli cli(2, argv);
+    std::exit(cli.get_bool("x", !expect) == expect ? 0 : 1);
+  };
+  for (const char* v : {"--x", "--x=true", "--x=1", "--x=yes"}) {
+    EXPECT_EXIT(parse(v, true), ::testing::ExitedWithCode(0), "") << v;
+  }
+  for (const char* v : {"--x=false", "--x=0", "--x=no"}) {
+    EXPECT_EXIT(parse(v, false), ::testing::ExitedWithCode(0), "") << v;
+  }
+  for (const char* v : {"--x=on", "--x=off", "--x=TRUE", "--x=", "--x=2"}) {
+    EXPECT_EXIT(parse(v, true), ::testing::ExitedWithCode(2), "boolean") << v;
+  }
+}
+
 TEST(LocaleDeterminism, CommaDecimalLocaleRoundTrips) {
   // Under a comma-decimal LC_NUMERIC, strtod("2.5") stops at the dot and
   // printf("%g") emits "2,5" — which is how figure JSON written on one

@@ -2,11 +2,13 @@
 // pure wall-clock optimization. Under adversarial contention — an incast
 // hammering one ejection port plus bidirectional neighbor traffic on a
 // torus — every observable (makespan, fabric stats, metrics snapshot,
-// trace bytes) must be identical with the express path on and off, and
-// the fig8 mini-grid's metrics JSON must stay byte-identical across both
-// modes and any job count.
+// flight-recorder spans) must be identical with the express path on and
+// off; so must the spans of uncontended halo runs, whose express records
+// run folded; and the fig8 mini-grid's metrics JSON must stay
+// byte-identical across both modes and any job count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -14,11 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.hpp"
 #include "net/topology.hpp"
 #include "cluster/cluster.hpp"
+#include "flight_spans.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics_io.hpp"
 #include "scenario/figure_grid.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
 namespace rvma {
@@ -45,6 +49,8 @@ struct ContentionResult {
   obs::MetricsSnapshot metrics;
   Time makespan = 0;
   std::uint64_t received = 0;
+  std::vector<obs::SpanRecord> spans;  ///< empty unless the recorder was armed
+  std::uint64_t spans_dropped = 0;
 };
 
 /// Adversarial contention on a 2x2x2 torus with static routes: every
@@ -54,14 +60,14 @@ struct ContentionResult {
 /// incast paths mid-route). Multi-packet messages exercise the burst
 /// path; staggered completion-driven sends keep open express records
 /// around for later injections to conflict with.
-ContentionResult run_contention(bool express, Tracer* sink) {
+ContentionResult run_contention(bool express, bool record) {
   net::NetworkConfig cfg;
   cfg.topology = net::TopologyKind::kTorus3D;
   cfg.routing = net::Routing::kStatic;
   cfg.nodes_hint = 8;
   cfg.express = express;
   cluster::Cluster cluster(cfg, nic::NicParams{});
-  if (sink != nullptr) cluster.engine().set_tracer(sink);
+  if (record) cluster.arm_flight_recorder();
   const int n = cluster.num_nodes();
 
   ContentionResult out;
@@ -100,12 +106,16 @@ ContentionResult run_contention(bool express, Tracer* sink) {
   out.makespan = cluster.engine().run();
   out.fabric = cluster.network().fabric().stats();
   out.metrics = scrub_engine_counters(cluster.collect_metrics());
+  if (record) {
+    out.spans = cluster.flight_recorder_for_shard(0)->snapshot();
+    out.spans_dropped = cluster.flight_recorder_for_shard(0)->dropped();
+  }
   return out;
 }
 
 TEST(ExpressExactness, ContentionStatsAndMetricsIdentical) {
-  const ContentionResult fast = run_contention(true, nullptr);
-  const ContentionResult slow = run_contention(false, nullptr);
+  const ContentionResult fast = run_contention(true, false);
+  const ContentionResult slow = run_contention(false, false);
 
   // The fast path must actually engage AND be contested in this workload,
   // including the conflict unwind — otherwise the test proves nothing.
@@ -126,28 +136,63 @@ TEST(ExpressExactness, ContentionStatsAndMetricsIdentical) {
   EXPECT_EQ(fast.metrics, slow.metrics);
 }
 
-TEST(ExpressExactness, ContentionTraceByteIdentical) {
-  const std::string path_fast = ::testing::TempDir() + "express_fast.jsonl";
-  const std::string path_slow = ::testing::TempDir() + "express_slow.jsonl";
-  Tracer sink_fast, sink_slow;
-  ASSERT_TRUE(sink_fast.open(path_fast));
-  ASSERT_TRUE(sink_slow.open(path_slow));
+TEST(ExpressExactness, ContentionSpansIdentical) {
+  const ContentionResult fast = run_contention(true, true);
+  const ContentionResult slow = run_contention(false, true);
 
-  const ContentionResult fast = run_contention(true, &sink_fast);
-  const ContentionResult slow = run_contention(false, &sink_slow);
-  sink_fast.close();
-  sink_slow.close();
-
-  // Tracing disables event folding but not the express path itself: the
-  // per-packet pkt_inject/pkt_deliver records — timestamps included —
-  // must come out byte-for-byte identical.
+  // The recorder is passive, so the express run still commits folded
+  // records (delivery and NIC receive in one event), and the contention
+  // rematerializes them. Per-packet spans, timestamps included, must
+  // still match the hop-by-hop run record for record.
   EXPECT_GT(fast.fabric.express_commits, 0u);
   EXPECT_EQ(slow.fabric.express_commits, 0u);
-  const std::string bytes_fast = read_file(path_fast);
-  EXPECT_FALSE(bytes_fast.empty());
-  EXPECT_EQ(bytes_fast, read_file(path_slow));
-  std::remove(path_fast.c_str());
-  std::remove(path_slow.c_str());
+  EXPECT_EQ(fast.spans_dropped, 0u);
+  EXPECT_EQ(slow.spans_dropped, 0u);
+  EXPECT_FALSE(fast.spans.empty());
+  EXPECT_EQ(span_multiset(fast.spans), span_multiset(slow.spans));
+}
+
+/// Span multiset of a recorded halo3d scenario run, and how many of its
+/// injections took the express path.
+std::vector<SpanKey> halo_spans(const std::string& topology, bool express,
+                                std::size_t* express_commits) {
+  scenario::ScenarioSpec spec;
+  spec.topology = topology;
+  spec.nodes = 64;
+  spec.motif = "halo3d";
+  // Default 64^3-cell faces: multi-packet messages whose express records
+  // mostly run folded to completion instead of rematerializing.
+  spec.motif_params = {{"iterations", "2"}};
+  spec.express = express;
+  spec.flight_recorder_path = ::testing::TempDir() + "express_halo.rvfr";
+  scenario::ScenarioResult result;
+  std::string error;
+  obs::FlightDump dump;
+  EXPECT_TRUE(scenario::run_scenario(spec, &result, &error)) << error;
+  EXPECT_TRUE(obs::read_flight_file(spec.flight_recorder_path, &dump, &error))
+      << error;
+  std::remove(spec.flight_recorder_path.c_str());
+  const std::vector<obs::SpanRecord> records = dump.merged();
+  *express_commits = static_cast<std::size_t>(std::count_if(
+      records.begin(), records.end(), [](const obs::SpanRecord& r) {
+        return r.kind == static_cast<std::uint32_t>(obs::SpanKind::kExpressCommit);
+      }));
+  return span_multiset(records);
+}
+
+TEST(ExpressExactness, HaloSpansIdenticalOnStaticTopologies) {
+  // Uncontended halo traffic: committed express records run folded to
+  // completion — the path production runs take — and must record the
+  // same spans as hop-by-hop.
+  for (const char* topology : {"torus3d", "fattree", "dragonfly", "hyperx"}) {
+    std::size_t fast_commits = 0, slow_commits = 0;
+    const std::vector<SpanKey> fast = halo_spans(topology, true, &fast_commits);
+    const std::vector<SpanKey> slow =
+        halo_spans(topology, false, &slow_commits);
+    EXPECT_GT(fast_commits, 0u) << topology;
+    EXPECT_EQ(slow_commits, 0u) << topology;
+    EXPECT_EQ(fast, slow) << topology;
+  }
 }
 
 scenario::GridSpec mini_grid() {

@@ -1,7 +1,8 @@
 // Flight-recorder contracts: ring wraparound, binary round-trip, the
 // zero-perturbation guarantee (recorder on vs off produces identical
 // results and metrics, serial and sharded), the Perfetto export golden,
-// the PDES runtime profile, and the shard-safe armed tracer.
+// the PDES runtime profile, and span equality between serial and sharded
+// runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "common/trace.hpp"
+#include "flight_spans.hpp"
 #include "motifs/halo3d.hpp"
 #include "motifs/runner.hpp"
 #include "motifs/rvma_transport.hpp"
@@ -332,48 +333,38 @@ TEST(PdesProfile, ShardedRunExposesPerShardInstruments) {
   EXPECT_TRUE(prof.histograms.contains("pdes.shard0.drain_depth"));
 }
 
-// ----------------------------------------------- shard-safe armed tracer
+// ------------------------------------------- serial vs sharded spans
 
-std::vector<std::string> sorted_lines(const std::string& text) {
-  std::istringstream in(text);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
-TEST(ShardTracer, ShardedRunTracesWithoutClampingToSerial) {
+TEST(FlightRecorderScenario, ShardedRunRecordsSerialSpans) {
   const std::string dir = ::testing::TempDir();
-  const std::string serial_path = dir + "trace_serial.jsonl";
-  const std::string sharded_path = dir + "trace_sharded.jsonl";
-  const std::string sharded2_path = dir + "trace_sharded2.jsonl";
   std::string error;
 
-  auto traced_run = [&](int shards, const std::string& path,
-                        ScenarioResult* out) {
+  auto recorded_run = [&](int shards, ScenarioResult* out,
+                          obs::FlightDump* dump) {
     ScenarioSpec spec = mini_spec();
     spec.par_shards = shards;
-    Tracer sink;
-    ASSERT_TRUE(sink.open(path));
-    ASSERT_TRUE(run_scenario(spec, out, &error, &sink, /*eng_id=*/3)) << error;
-    EXPECT_GT(out->trace_events, 0u);
-    sink.close();
+    spec.flight_recorder_path =
+        dir + "flight_k" + std::to_string(shards) + ".rvfr";
+    ASSERT_TRUE(run_scenario(spec, out, &error)) << error;
+    ASSERT_TRUE(obs::read_flight_file(spec.flight_recorder_path, dump, &error))
+        << error;
+    std::remove(spec.flight_recorder_path.c_str());
   };
 
-  ScenarioResult serial, sharded, sharded2;
-  traced_run(1, serial_path, &serial);
-  traced_run(2, sharded_path, &sharded);
-  traced_run(2, sharded2_path, &sharded2);
+  ScenarioResult serial, sharded;
+  obs::FlightDump serial_dump, sharded_dump;
+  recorded_run(1, &serial, &serial_dump);
+  recorded_run(2, &sharded, &sharded_dump);
 
-  // The armed tracer no longer forces serial execution: the sharded run
-  // really went through the windowed loop (its extra window-boundary
-  // bookkeeping events are the tell — DESIGN.md §12), while every
-  // simulated observable stayed identical.
-  EXPECT_NE(serial.engine_events, sharded.engine_events);
+  // The armed recorder does not force serial execution: the run really
+  // sharded, while every simulated observable stayed identical.
+  ASSERT_EQ(serial_dump.shards.size(), 1u);
+  ASSERT_EQ(sharded_dump.shards.size(), 2u);
   EXPECT_EQ(serial.makespan, sharded.makespan);
   EXPECT_EQ(serial.packets_delivered, sharded.packets_delivered);
-  // engine.* counters carry those bookkeeping events too; everything the
-  // simulation itself recorded must match (test_pdes's Observed contract).
+  // engine.* counters carry the windowed loop's bookkeeping events
+  // (DESIGN.md §12); everything the simulation itself recorded must match
+  // (test_pdes's Observed contract).
   auto sim_metrics = [](const ScenarioResult& r) {
     obs::MetricsSnapshot m = r.metrics;
     std::erase_if(m.counters,
@@ -384,43 +375,13 @@ TEST(ShardTracer, ShardedRunTracesWithoutClampingToSerial) {
   };
   EXPECT_EQ(sim_metrics(serial), sim_metrics(sharded));
 
-  // Same trace events in both modes (the merge only fixes the order), and
-  // the sharded merge is byte-deterministic across reruns.
-  EXPECT_EQ(serial.trace_events, sharded.trace_events);
-  EXPECT_EQ(sorted_lines(read_file(serial_path)),
-            sorted_lines(read_file(sharded_path)));
-  EXPECT_EQ(read_file(sharded_path), read_file(sharded2_path));
-
-  // Merged output is time-sorted: "t":<ps> never decreases line to line.
-  std::istringstream in(read_file(sharded_path));
-  Time prev = 0;
-  for (std::string line; std::getline(in, line);) {
-    Time t = 0;
-    ASSERT_EQ(std::sscanf(line.c_str(), "{\"t\":%llu",
-                          reinterpret_cast<unsigned long long*>(&t)),
-              1)
-        << line;
-    EXPECT_GE(t, prev) << line;
-    prev = t;
-  }
-
-  for (const std::string& p : {serial_path, sharded_path, sharded2_path}) {
-    std::remove(p.c_str());
-  }
-}
-
-TEST(ShardTracer, BufferModeCollectsJsonl) {
-  Tracer tracer;
-  tracer.open_buffer();
-  EXPECT_TRUE(tracer.enabled());
-  tracer.record(100, "evt", 2, {{"a", 1}});
-  tracer.record(200, "evt", 2, {});
-  EXPECT_EQ(tracer.events_written(), 2u);
-  EXPECT_EQ(tracer.buffer(),
-            "{\"t\":100,\"ev\":\"evt\",\"eng\":2,\"a\":1}\n"
-            "{\"t\":200,\"ev\":\"evt\",\"eng\":2}\n");
-  tracer.close();
-  EXPECT_FALSE(tracer.enabled());
+  // Same lifecycle instants in both modes. Only the injection kind may
+  // move: express eligibility reads shard-local in-flight state (and a
+  // route leaving the shard never commits), so the kTxInject vs
+  // kExpressCommit split changes with K while every instant stays put.
+  EXPECT_GT(serial_dump.total_records(), 0u);
+  EXPECT_EQ(span_multiset(serial_dump.merged()),
+            span_multiset(sharded_dump.merged()));
 }
 
 }  // namespace

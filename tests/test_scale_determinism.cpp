@@ -1,20 +1,22 @@
 // Scale smoke tests and determinism guarantees: multi-hundred-node motif
 // runs complete correctly, identical configurations replay identically,
 // and the transports' control-message accounting matches their protocols.
+// Also drives the rvma_metrics binary's argument checking end to end.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
+#include <sys/wait.h>
+
 #include "cluster/cluster.hpp"
-#include "common/trace.hpp"
 #include "motifs/halo3d.hpp"
 #include "motifs/rdma_transport.hpp"
 #include "motifs/runner.hpp"
 #include "motifs/rvma_transport.hpp"
 #include "motifs/sweep3d.hpp"
+#include "obs/metrics_io.hpp"
 
 namespace rvma::motifs {
 namespace {
@@ -160,34 +162,36 @@ TEST(ControlTraffic, StaticRdmaHasNoCompletionSends) {
   EXPECT_EQ(adaptive_msgs, static_msgs + data_msgs);
 }
 
-TEST(TraceTool, AnalyzesGeneratedTrace) {
-  const std::string trace_path = ::testing::TempDir() + "tool_trace.jsonl";
-  ASSERT_TRUE(Tracer::global().open(trace_path));
-  {
-    cluster::Cluster cluster(dragonfly342(net::Routing::kAdaptive),
-                         nic::NicParams{});
-    RvmaTransport transport(cluster, core::RvmaParams{});
-    Halo3DConfig cfg;
-    cfg.px = cfg.py = cfg.pz = 2;
-    cfg.iterations = 1;
-    cfg.nx = cfg.ny = cfg.nz = 8;
-    MotifRunner(cluster, transport, build_halo3d(cfg)).run();
-  }
-  Tracer::global().close();
+TEST(MetricsTool, DiffRejectsMalformedRelTol) {
+  // Only a plain non-negative number may reach the comparison: with a
+  // bare strtod, "abc" would run as tolerance 0 and "-1" would pass.
+  // Anything else is a usage error (exit 2).
+  obs::MetricsDoc a;
+  a.totals.counters["pkts"] = 1000;
+  obs::MetricsDoc b = a;
+  b.totals.counters["pkts"] = 1010;  // a 1% difference
+  const std::string dir = ::testing::TempDir();
+  const std::string path_a = dir + "reltol_a.json";
+  const std::string path_b = dir + "reltol_b.json";
+  ASSERT_TRUE(obs::write_metrics_file(a, path_a));
+  ASSERT_TRUE(obs::write_metrics_file(b, path_b));
 
-  // Run the offline analyzer (`rvma_metrics trace`) and check its report.
-  const std::string out_path = ::testing::TempDir() + "tool_out.txt";
-  const std::string cmd = std::string(RVMA_METRICS_BIN) + " trace " +
-                          trace_path + " > " + out_path;
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-  std::ifstream in(out_path);
-  std::string report((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-  EXPECT_NE(report.find("pkt_deliver"), std::string::npos);
-  EXPECT_NE(report.find("rvma_complete"), std::string::npos);
-  EXPECT_NE(report.find("packet network latency"), std::string::npos);
-  std::remove(trace_path.c_str());
-  std::remove(out_path.c_str());
+  auto diff_exit = [&](const std::string& tol_arg) {
+    const std::string cmd = std::string(RVMA_METRICS_BIN) + " diff " +
+                            path_a + " " + path_b + " '" + tol_arg +
+                            "' > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(diff_exit("--rel-tol=0.05"), 0);  // within tolerance
+  EXPECT_EQ(diff_exit("--rel-tol=0.001"), 1);  // flagged difference
+  EXPECT_EQ(diff_exit("--rel-tol=0"), 1);
+  for (const char* bad : {"--rel-tol=abc", "--rel-tol=0.05x", "--rel-tol=-1",
+                          "--rel-tol=", "--rel-tol=nan"}) {
+    EXPECT_EQ(diff_exit(bad), 2) << bad;
+  }
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 }  // namespace

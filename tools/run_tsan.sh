@@ -2,26 +2,26 @@
 # Build the concurrency-sensitive tests under ThreadSanitizer and run
 # them. Any reported data race fails the script (TSan exits non-zero).
 #
-# Covers the parallel sweep machinery: the SweepExecutor pool itself,
-# the jobs=N vs jobs=1 grid determinism (which exercises concurrent
-# Cluster/Engine runs and per-run trace sinks), the fabric tests
-# (static next-hop cache), the NIC admission/drain path, and the
-# express-exactness tests (whose mini-grid runs express and hop-by-hop
-# fabrics concurrently across worker threads — the pooled non-atomic
-# message refcount must stay engine-local), the scenario-layer tests
-# (registry materialization, sharded runs at K in {2,4} of all five
-# transports — rvma, rma, portals, rdma, sockets — against their serial
-# result, and the rvma_run grid replay, which fans cells out over the
-# executor), and the PDES tests (the ShardedEngine's
-# window barriers, cross-shard SPSC channels, and the windowed-vs-serial
-# exactness runs, which exercise the full multi-threaded shard path),
-# the lookahead-matrix tests (per-destination windows, unreachable-pair
-# handling, and windowed-vs-serial identity at K in {2,3,5}),
-# and the flight-recorder tests (per-shard rings attached to windowed
-# engines plus the per-shard buffered-tracer merge in ScenarioRunner),
-# and the rvma.h API tests (API-motif contexts driven from shard threads:
-# per-rank endpoint state, cross-shard puts/gets, and the serial-vs-
-# sharded identity runs for remote_paging / kv_store / alltoall).
+# Covers:
+#  - the parallel sweep machinery: the SweepExecutor pool itself and the
+#    jobs=N vs jobs=1 grid determinism (concurrent Cluster/Engine runs);
+#  - the fabric and routing-algebra tests (static next-hop cache) and the
+#    NIC admission/drain path;
+#  - the express-exactness tests, whose mini-grid runs express and
+#    hop-by-hop fabrics concurrently across worker threads (the pooled
+#    non-atomic message refcount must stay engine-local);
+#  - the observability tests (registry, sampler, metrics documents);
+#  - the scenario-layer tests: registry materialization, sharded runs at
+#    K in {2,4} of every transport against their serial result, and the
+#    rvma_run grid replay, which fans cells out over the executor;
+#  - the PDES and lookahead-matrix tests: the ShardedEngine's window
+#    barriers, cross-shard SPSC channels, per-destination windows and
+#    windowed-vs-serial identity, the full multi-threaded shard path;
+#  - the flight-recorder tests: per-shard rings attached to windowed
+#    engines, and serial-vs-sharded span equality;
+#  - the rvma.h API tests: API-motif contexts driven from shard threads
+#    (per-rank endpoint state, cross-shard puts/gets, and serial-vs-
+#    sharded identity for remote_paging / kv_store / alltoall).
 #
 # Usage: tools/run_tsan.sh [build-dir]
 set -eu

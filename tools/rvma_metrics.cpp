@@ -1,5 +1,5 @@
 // rvma_metrics: analysis CLI for the metrics documents every bench emits
-// via --metrics=<path> (schema rvma-metrics-v1), plus trace triage.
+// via --metrics=<path> (schema rvma-metrics-v1).
 //
 // Subcommands:
 //   summarize <file>                 counters, gauges, histogram
@@ -11,14 +11,12 @@
 //   check <file> [name...]           validate schema + required
 //        [--need-histogram]          instruments; exit code = number of
 //        [--need-timeseries]         failed checks (CI gate)
-//   trace <trace.jsonl>              per-engine trace analysis
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "obs/metrics_io.hpp"
-#include "obs/trace_analysis.hpp"
 
 namespace {
 
@@ -30,8 +28,7 @@ int usage() {
                "  summarize <file>\n"
                "  diff <a> <b> [--rel-tol=X]\n"
                "  check <file> [name...] [--need-histogram] "
-               "[--need-timeseries]\n"
-               "  trace <trace.jsonl>\n");
+               "[--need-timeseries]\n");
   return 2;
 }
 
@@ -58,7 +55,18 @@ int cmd_diff(const std::vector<std::string>& args) {
   std::vector<std::string> files;
   for (const std::string& arg : args) {
     if (arg.rfind("--rel-tol=", 0) == 0) {
-      opts.rel_tol = std::strtod(arg.c_str() + 10, nullptr);
+      // A tolerance that silently parsed as 0 (or went negative) would
+      // flag every difference, so anything but a plain non-negative
+      // number is a usage error.
+      const char* first = arg.data() + 10;
+      const char* last = arg.data() + arg.size();
+      double tol = -1.0;
+      const auto [ptr, ec] = std::from_chars(first, last, tol);
+      if (ec != std::errc{} || ptr != last || first == last || !(tol >= 0)) {
+        std::fprintf(stderr, "bad --rel-tol value \"%s\"\n", first);
+        return 2;
+      }
+      opts.rel_tol = tol;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return 2;
@@ -105,18 +113,6 @@ int cmd_check(const std::vector<std::string>& args) {
   return failures;
 }
 
-int cmd_trace(const std::vector<std::string>& args) {
-  if (args.size() != 1) return usage();
-  obs::TraceAnalysis analysis;
-  std::string error;
-  if (!obs::analyze_trace_file(args[0], &analysis, &error)) {
-    std::fprintf(stderr, "rvma_metrics: %s\n", error.c_str());
-    return 2;
-  }
-  obs::print_trace_analysis(analysis, args[0], stdout);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,7 +122,6 @@ int main(int argc, char** argv) {
   if (cmd == "summarize") return cmd_summarize(args);
   if (cmd == "diff") return cmd_diff(args);
   if (cmd == "check") return cmd_check(args);
-  if (cmd == "trace") return cmd_trace(args);
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return usage();
 }

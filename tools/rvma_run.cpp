@@ -84,19 +84,21 @@ int run_single(const std::string& text, int argc, char** argv) {
 
   ScenarioResult result;
   RunTiming timing;
-  if (!run_scenario(spec, &result, &error, nullptr, 0,
-                    want_timing ? &timing : nullptr)) {
+  if (!run_scenario(spec, &result, &error, want_timing ? &timing : nullptr)) {
     std::fprintf(stderr, "rvma_run: %s\n", error.c_str());
     return 1;
   }
   if (want_timing) {
-    // Wall clocks and memory go to stderr: stdout is the deterministic
-    // summary that run_bench byte-diffs across jobs/shards/ablations.
+    // Wall clocks, memory and the effective shard count go to stderr:
+    // stdout is the deterministic summary that run_bench byte-diffs
+    // across jobs/shards/ablations.
     std::fprintf(stderr,
                  "timing: construct %.3f s, simulate %.3f s, "
-                 "route_table %zu bytes, peak_rss %zu bytes\n",
+                 "route_table %zu bytes, peak_rss %zu bytes, "
+                 "shards %d of %d requested\n",
                  timing.construct_wall_s, timing.sim_wall_s,
-                 timing.route_table_bytes, timing.peak_rss_bytes);
+                 timing.route_table_bytes, timing.peak_rss_bytes,
+                 timing.shards, spec.par_shards);
   }
 
   // Deterministic summary: simulated quantities only, no wall clock, so
