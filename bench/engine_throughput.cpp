@@ -300,7 +300,7 @@ std::vector<ShardRow> bench_pdes_shards() {
 
   net::NetworkConfig cfg;
   cfg.topology = net::TopologyKind::kTorus3D;
-  cfg.routing = net::Routing::kStatic;  // adaptive clamps to serial
+  cfg.routing = net::Routing::kStatic;
   cfg.nodes_hint = 512;
   cfg.seed = 11;
 

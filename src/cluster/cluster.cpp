@@ -42,11 +42,11 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   }();
   (void)env_initialized;
 
+  // Every routing mode shards exactly: a routing decision reads only the
+  // packet and its own switch's port state (the dragonfly's Valiant group
+  // is drawn from packet content, not from a per-Network stream), so each
+  // shard-local Network replica decides as the serial one would.
   int k = std::max(1, par_shards);
-  // Exact sharding requires static routing: adaptive consults a
-  // per-Network RNG stream, which would diverge across shard-local
-  // replicas.
-  if (net_config.routing != net::Routing::kStatic) k = 1;
 
   // Shard 0 is built first: its network tells us the switch count and the
   // cross-shard lookahead, which bound how many shards are viable.
@@ -106,8 +106,8 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   }
 
   // Remaining shards: identical construction (same config, same seed)
-  // yields identical wiring and static route tables; each shard's fabric
-  // only ever arbitrates ports on its own switches.
+  // yields identical wiring and route tables; each shard's fabric only
+  // ever arbitrates ports on its own switches.
   for (int s = 1; s < k; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     Shard& sh = *shards_[static_cast<std::size_t>(s)];

@@ -13,10 +13,10 @@
 // off-shard port state is dead weight that is never read). NICs attach on
 // the shard owning their switch, so injection and ejection never cross a
 // shard boundary — only transit hops do, handed across through
-// sim::ShardedEngine's windowed channels (DESIGN.md §12). Falls back to
-// one shard whenever conservative sharding cannot be exact: adaptive
-// routing (per-network RNG streams would diverge) or zero cross-shard
-// lookahead.
+// sim::ShardedEngine's windowed channels (DESIGN.md §12). Static and
+// adaptive routing both shard exactly: routing reads only packet content
+// and the deciding switch's own ports. Falls back to one shard when the
+// cross-shard lookahead is zero.
 #pragma once
 
 #include <memory>

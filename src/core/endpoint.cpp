@@ -440,9 +440,14 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
   }
 
   // Operation counting: a put counts once, when its last packet arrives.
-  const std::uint32_t arrived = ++msg_arrived_[pkt.msg->id];
-  if (arrived == pkt.total) {
-    msg_arrived_.erase(pkt.msg->id);
+  // A single-packet put is complete on arrival and needs no tally entry.
+  bool last = pkt.total == 1;
+  if (!last) {
+    const auto it = msg_arrived_.try_emplace(pkt.msg->id, 0).first;
+    last = ++it->second == pkt.total;
+    if (last) msg_arrived_.erase(it);
+  }
+  if (last) {
     ++stats_.puts_received;
     c_puts_->inc();
     // Message::id packs (src_node << 40) | per-sender post counter, so the

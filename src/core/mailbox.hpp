@@ -9,10 +9,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -110,10 +109,10 @@ class Mailbox {
   bool closed() const { return closed_; }
   void close() { closed_ = true; }
 
-  bool has_active() const { return !queue_.empty(); }
-  PostedBuffer& active() { return queue_.front(); }
-  const PostedBuffer& active() const { return queue_.front(); }
-  std::size_t posted_count() const { return queue_.size(); }
+  bool has_active() const { return posted_ != 0; }
+  PostedBuffer& active() { return queue_[head_]; }
+  const PostedBuffer& active() const { return queue_[head_]; }
+  std::size_t posted_count() const { return posted_; }
 
   /// Append a buffer to the bucket.
   ///
@@ -145,14 +144,15 @@ class Mailbox {
   /// completion storage while the window stays live. Buffers registered
   /// with other locations are untouched.
   void detach_notifications(void** notif_ptr, std::int64_t* len_ptr) {
-    for (PostedBuffer& b : queue_) {
+    for (std::size_t i = 0; i < posted_; ++i) {
+      PostedBuffer& b = posted_at(i);
       if (b.notif_ptr == notif_ptr) b.notif_ptr = nullptr;
       if (b.len_ptr == len_ptr) b.len_ptr = nullptr;
     }
   }
 
-  const std::deque<PostedBuffer>& queue() const { return queue_; }
-  const std::vector<RetiredBuffer>& retired() const { return retired_; }
+  /// Completed buffers the retire ring still holds (≤ retire_depth).
+  std::size_t retired_count() const { return retired_count_; }
   std::uint64_t completed_count() const { return completed_count_; }
 
   /// Out-of-order degree of an arriving message (the Eunomia metric,
@@ -163,14 +163,7 @@ class Mailbox {
   /// reports degree k; in-order arrivals — including arrival with gaps,
   /// when intervening posts targeted other mailboxes — report 0.
   /// Deterministic: arrival order is a pure function of the simulation.
-  std::uint64_t ooo_degree(std::int32_t src, std::uint64_t counter) {
-    std::uint64_t& high = ooo_high_[src];
-    if (counter >= high) {
-      high = counter;
-      return 0;
-    }
-    return high - counter;
-  }
+  std::uint64_t ooo_degree(std::int32_t src, std::uint64_t counter);
 
  private:
   std::uint64_t vaddr_;
@@ -180,13 +173,36 @@ class Mailbox {
   int retire_depth_;
   std::uint64_t key_;
 
-  std::deque<PostedBuffer> queue_;
-  std::vector<RetiredBuffer> retired_;  // ring, newest at back
+  /// The i-th queued buffer, oldest first (i < posted_).
+  PostedBuffer& posted_at(std::size_t i) {
+    return queue_[(head_ + i) % queue_.size()];
+  }
+  const PostedBuffer& posted_at(std::size_t i) const {
+    return queue_[(head_ + i) % queue_.size()];
+  }
+
+  /// Posted buffers: a ring of posted_ entries starting at head_, oldest
+  /// first. Its capacity doubles when a post finds it full, so a mailbox
+  /// holds one flat block sized to its deepest bucket.
+  std::vector<PostedBuffer> queue_;
+  std::size_t head_ = 0;
+  std::size_t posted_ = 0;
+  /// Retire ring of retire_depth_ slots, allocated on the first retire
+  /// (most mailboxes never rewind, and many retire only a few times);
+  /// retired_next_ is the slot the next completion overwrites.
+  std::vector<RetiredBuffer> retired_;
+  std::size_t retired_next_ = 0;
+  std::size_t retired_count_ = 0;
   std::int64_t epoch_ = 0;
   std::uint64_t completed_count_ = 0;
   bool closed_ = false;
-  /// Highest per-sender post counter seen so far, for ooo_degree().
-  std::unordered_map<std::int32_t, std::uint64_t> ooo_high_;
+  /// Highest post counter seen per sender, for ooo_degree(): (src, high)
+  /// pairs sorted by src: 16 B per sender and no bucket array, smaller than
+  /// a hash map at any sender count. A new sender costs an O(senders)
+  /// insert, so a mailbox that hears from all N ranks (alltoall windows,
+  /// kv_store servers) moves O(N^2) entries over its life; those moves
+  /// are contiguous and cache-resident, one per sender, not per packet.
+  std::vector<std::pair<std::int32_t, std::uint64_t>> ooo_high_;
 };
 
 }  // namespace rvma::core

@@ -2,6 +2,7 @@
 #include "motifs/rdma_transport.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace rvma::motifs {
 
@@ -76,9 +77,9 @@ void RdmaTransport::pump_cq(int node) {
     ChannelState& cs = *by_index_[entry.imm & 0xffffffffULL];
     if (type == kImmCredit) {
       ++cs.credits;
-      if (!cs.credit_waiters.empty()) {
-        auto resume = std::move(cs.credit_waiters.front());
-        cs.credit_waiters.pop_front();
+      if (cs.credit_waiter) {
+        std::function<void()> resume =
+            std::exchange(cs.credit_waiter, nullptr);
         resume();
       }
     } else if (type == kImmComplete) {
@@ -95,10 +96,9 @@ void RdmaTransport::on_channel_complete(ChannelState& cs) {
     --cs.pending_posts;
     grant_credit(cs);
   }
-  if (!cs.waiters.empty() && cs.completed > cs.consumed) {
+  if (cs.waiter && cs.completed > cs.consumed) {
     ++cs.consumed;
-    auto done = std::move(cs.waiters.front());
-    cs.waiters.pop_front();
+    std::function<void()> done = std::exchange(cs.waiter, nullptr);
     done();
   }
 }
@@ -138,9 +138,10 @@ void RdmaTransport::send(int src, int dst, std::uint64_t tag,
   ChannelState& cs = state(src, dst, tag);
   if (cs.credits == 0) {
     ++cs.stalls;
-    cs.credit_waiters.push_back([this, &cs, done = std::move(done)]() mutable {
+    assert(!cs.credit_waiter && "a channel has at most one blocked sender");
+    cs.credit_waiter = [this, &cs, done = std::move(done)]() mutable {
       issue_send(cs, std::move(done));
-    });
+    };
     return;
   }
   issue_send(cs, std::move(done));
@@ -179,7 +180,8 @@ void RdmaTransport::recv_wait(int dst, int src, std::uint64_t tag,
     cluster_.engine_for(dst).schedule(0, std::move(done));
     return;
   }
-  cs.waiters.push_back(std::move(done));
+  assert(!cs.waiter && "a channel has at most one blocked receiver");
+  cs.waiter = std::move(done);
 }
 
 const TransportStats& RdmaTransport::stats() const {

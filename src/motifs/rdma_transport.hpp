@@ -18,7 +18,7 @@
 // the benches can measure exactly how much they cost.
 #pragma once
 
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -68,7 +68,7 @@ class RdmaTransport final : public Transport {
     std::uint64_t sent = 0;
     std::uint64_t stalls = 0;
     std::uint64_t ctrl_src = 0;  ///< handshakes + trailing completion sends
-    std::deque<std::function<void()>> credit_waiters;
+    std::function<void()> credit_waiter;  ///< the one credit-blocked send
     // Receiver side.
     std::uint64_t ctrl_dst = 0;  ///< credit sends
     std::uint64_t region_addr = 0;
@@ -77,7 +77,7 @@ class RdmaTransport final : public Transport {
     std::uint64_t pending_posts = 0;    ///< recv_posts waiting for a slot
     std::uint64_t completed = 0;
     std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
+    std::function<void()> waiter;  ///< the one blocked recv_wait, if any
   };
 
   // Control-message immediate encoding: (type << 32) | channel index.

@@ -2,6 +2,7 @@
 #include "motifs/rvma_transport.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace rvma::motifs {
 
@@ -113,10 +114,9 @@ void RvmaTransport::complete(ChannelState& cs) {
     endpoints_[cs.ch.dst]->post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
     --cs.remaining_posts;
   }
-  if (!cs.waiters.empty() && cs.completed > cs.consumed) {
+  if (cs.waiter && cs.completed > cs.consumed) {
     ++cs.consumed;
-    auto done = std::move(cs.waiters.front());
-    cs.waiters.pop_front();
+    std::function<void()> done = std::exchange(cs.waiter, nullptr);
     done();
   }
 }
@@ -153,7 +153,8 @@ void RvmaTransport::recv_wait(int dst, int src, std::uint64_t tag,
     cluster_.engine_for(dst).schedule(0, std::move(done));
     return;
   }
-  cs.waiters.push_back(std::move(done));
+  assert(!cs.waiter && "a channel has at most one blocked receiver");
+  cs.waiter = std::move(done);
 }
 
 const TransportStats& RvmaTransport::stats() const {

@@ -20,7 +20,7 @@
 //             portals.entries_traversed / portals.matches counters.
 #pragma once
 
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -60,7 +60,7 @@ class RvmaTransport final : public Transport {
     int remaining_posts = 0;    ///< buffers not yet posted
     std::uint64_t completed = 0;
     std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
+    std::function<void()> waiter;  ///< the one blocked recv_wait, if any
   };
 
   /// kMatched: one node's matching unit. The counters live on that node's

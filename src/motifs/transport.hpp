@@ -51,11 +51,17 @@ class Transport {
 
   /// Sender transfers one message on the channel. `done` fires when the
   /// sender may continue (local completion semantics of the protocol).
+  /// A rank is a sequential program: it issues no further send on the
+  /// channel until `done` has fired, so at most one send per channel is
+  /// ever waiting (e.g. for an RDMA credit).
   virtual void send(int src, int dst, std::uint64_t tag,
                     std::function<void()> done) = 0;
 
   /// Receiver blocks until the next message on the channel has fully
   /// arrived and the protocol's completion notification has been observed.
+  /// Likewise at most one recv_wait per channel is outstanding: `done`
+  /// fires before the receiver can issue the next one. Transports rely on
+  /// this and keep one waiter slot per channel side, not a queue.
   virtual void recv_wait(int dst, int src, std::uint64_t tag,
                          std::function<void()> done) = 0;
 

@@ -1,5 +1,7 @@
 #include "net/topologies.hpp"
 
+#include "common/rng.hpp"
+
 namespace rvma::net {
 
 DragonflyTopology::DragonflyTopology(const NetworkConfig& config)
@@ -92,8 +94,25 @@ int DragonflyTopology::static_next_hop(int sw, NodeId dst) const {
   return minimal_port(sw, static_cast<int>(dst) / p_);
 }
 
-int DragonflyTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
-                             Rng& rng) {
+int DragonflyTopology::valiant_group(const Packet& pkt) const {
+  // Chain splitmix64 over the key words: each step folds one word into the
+  // running state and re-mixes it.
+  const std::uint64_t words[] = {
+      static_cast<std::uint64_t>(pkt.src), static_cast<std::uint64_t>(pkt.dst),
+      pkt.msg ? pkt.msg->id : 0, pkt.seq};
+  std::uint64_t h = config_.seed;
+  for (const std::uint64_t w : words) {
+    std::uint64_t state = h ^ w;
+    h = splitmix64(state);
+  }
+  // Multiply-shift onto [0, groups): the bias is below 2^-50.
+  return static_cast<int>((static_cast<__uint128_t>(h) *
+                           static_cast<std::uint64_t>(groups_)) >>
+                          64);
+}
+
+int DragonflyTopology::route(Fabric& fabric, int sw, Packet& pkt,
+                             Routing mode) {
   const int dst_sw = fabric.switch_of_node(pkt.dst);
   const int g = group_of_switch(sw);
   const int dg = group_of_switch(dst_sw);
@@ -106,7 +125,7 @@ int DragonflyTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
   if (pkt.hops == 1 && pkt.rt_aux == -1 && g != dg && groups_ > 2) {
     const int min_port = minimal_port(sw, dst_sw);
     // Candidate intermediate group, uniformly among "others".
-    int vg = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(groups_)));
+    int vg = valiant_group(pkt);
     if (vg == g || vg == dg) vg = -1;
     if (vg >= 0) {
       const int l = link_to_group(g, vg);

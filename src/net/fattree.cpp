@@ -87,8 +87,7 @@ int FatTreeTopology::static_next_hop(int sw, NodeId dst) const {
   return static_cast<int>(dst) / (h * h);  // core: unique downward pod port
 }
 
-int FatTreeTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
-                           Rng&) {
+int FatTreeTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode) {
   const int h = half();
   const int nodes_per_pod = h * h;
   const int dst = pkt.dst;

@@ -78,8 +78,7 @@ int HyperXTopology::static_next_hop(int sw, NodeId dst) const {
   return -1;  // unreachable: dst attached here
 }
 
-int HyperXTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
-                          Rng&) {
+int HyperXTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode) {
   const int dst_sw = fabric.switch_of_node(pkt.dst);
   const int i = sw / l2_, j = sw % l2_;
   const int di = dst_sw / l2_, dj = dst_sw % l2_;

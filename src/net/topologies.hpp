@@ -14,7 +14,7 @@ class StarTopology final : public Topology {
 
   int num_nodes() const override { return nodes_; }
   void build(Fabric& fabric) override;
-  int route(Fabric&, int, Packet&, Routing, Rng&) override;
+  int route(Fabric&, int, Packet&, Routing) override;
   /// Never consulted: every destination is on the single switch, so the
   /// fabric always takes the ejection path before routing. Declaring the
   /// topology algebraic keeps static-mode semantics (express eligibility,
@@ -41,7 +41,7 @@ class Torus3DTopology final : public Topology {
 
   int num_nodes() const override { return dx_ * dy_ * dz_ * conc_; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
   bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;
@@ -66,7 +66,7 @@ class FatTreeTopology final : public Topology {
 
   int num_nodes() const override { return k_ * k_ * k_ / 4; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
   bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;
@@ -89,15 +89,17 @@ class FatTreeTopology final : public Topology {
 /// with p nodes and h global links; g = a*h + 1 groups.
 /// Static: minimal local-global-local with deterministic gateway.
 /// Adaptive: UGAL-lite — per packet, compare the backlog of the minimal
-/// first hop against a Valiant detour via a random intermediate group
-/// (weighted by its longer path) and take the cheaper one.
+/// first hop against a Valiant detour via a pseudo-random intermediate
+/// group (weighted by its longer path) and take the cheaper one. The group
+/// is a counter-based draw keyed on packet content (valiant_group), so
+/// every shard replica makes the same choice.
 class DragonflyTopology final : public Topology {
  public:
   explicit DragonflyTopology(const NetworkConfig& config);
 
   int num_nodes() const override { return groups_ * a_ * p_; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
   bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;
@@ -107,6 +109,12 @@ class DragonflyTopology final : public Topology {
   int switches_per_group() const { return a_; }
 
  private:
+  /// The Valiant intermediate-group candidate for `pkt`, in [0, groups()):
+  /// splitmix64 over (seed, src, dst, message id, packet index). A pure
+  /// function of the packet and the configured seed — no stream state —
+  /// so serial and sharded runs draw the same group for the same packet.
+  int valiant_group(const Packet& pkt) const;
+
   int switch_id(int group, int s) const { return group * a_ + s; }
   int group_of_switch(int sw) const { return sw / a_; }
   int local_port(int s, int neighbor) const {
@@ -138,7 +146,7 @@ class HyperXTopology final : public Topology {
 
   int num_nodes() const override { return l1_ * l2_ * conc_; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
   bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;

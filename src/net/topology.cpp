@@ -87,9 +87,7 @@ void close_min_latency_matrix(std::vector<Time>& la, int num_shards) {
 
 Network::Network(sim::Engine& engine, const NetworkConfig& config,
                  obs::MetricsRegistry* metrics)
-    : config_(config),
-      fabric_(engine, metrics),
-      rng_(config.seed ^ 0x746f706fULL) {
+    : config_(config), fabric_(engine, metrics) {
   topology_ = make_topology(config_);
   const TopologyFootprint fp = topology_->footprint();
   fabric_.reserve(fp.switches, fp.ports, fp.nodes);
@@ -99,13 +97,13 @@ Network::Network(sim::Engine& engine, const NetworkConfig& config,
     // route() may stash per-packet state (Valiant detours), so cast away
     // the const the Fabric::Router signature imposes on transit packets.
     return topology_->route(fabric_, sw, const_cast<Packet&>(pkt),
-                            config_.routing, rng_);
+                            config_.routing);
   });
   if (config_.routing == Routing::kStatic) {
     // Static routes depend only on (switch, dst) — every topology's
-    // static mode is deterministic and consults neither the RNG nor
-    // per-packet state — so next hops can be resolved without the per-hop
-    // std::function dispatch. Every registered topology is regular enough
+    // static mode is deterministic and consults no per-packet state — so
+    // next hops can be resolved without the per-hop std::function
+    // dispatch. Every registered topology is regular enough
     // that the next hop is pure O(1) arithmetic on (switch, dst)
     // coordinates (static_next_hop); the materialized O(S*N) LUT is kept
     // as an ablation and as the oracle test_routing_algebra checks the
@@ -133,7 +131,7 @@ Network::Network(sim::Engine& engine, const NetworkConfig& config,
         for (int sw = 0; sw < switches; ++sw) {
           if (sw == dst_sw) continue;  // ejection handled before routing
           table[static_cast<std::size_t>(sw) * nodes + dst] = topology_->route(
-              fabric_, sw, probe, Routing::kStatic, rng_);
+              fabric_, sw, probe, Routing::kStatic);
         }
       }
       fabric_.set_static_routes(std::move(table));

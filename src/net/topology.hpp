@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/fabric.hpp"
 #include "net/types.hpp"
 
@@ -100,9 +99,10 @@ class Topology {
   /// Construct switches, wire links, attach nodes.
   virtual void build(Fabric& fabric) = 0;
 
-  /// Select the output port for a transit packet (dst not on `sw`).
-  virtual int route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
-                    Rng& rng) = 0;
+  /// Select the output port for a transit packet (dst not on `sw`). Reads
+  /// only the packet and `sw`'s own port state: a sharded run evaluates it
+  /// on the shard that owns `sw` and must reach the serial run's choice.
+  virtual int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) = 0;
 
   /// O(1) static next hop for a transit packet at `sw` headed to `dst`
   /// (dst's switch != sw). Must agree with route(..., kStatic, ...) on
@@ -125,7 +125,7 @@ class Topology {
   virtual int diameter() const = 0;
 };
 
-/// Owns the engine-facing pieces: fabric, topology, routing policy, RNG.
+/// Owns the engine-facing pieces: fabric, topology, routing policy.
 class Network {
  public:
   /// `metrics` is forwarded to the Fabric (shared Cluster registry);
@@ -150,7 +150,6 @@ class Network {
   NetworkConfig config_;
   Fabric fabric_;
   std::unique_ptr<Topology> topology_;
-  Rng rng_;
 };
 
 /// Factory for the topology named in `config` (used by Network; exposed for

@@ -97,8 +97,7 @@ int Torus3DTopology::static_next_hop(int sw, NodeId dst) const {
   return -1;  // unreachable: dst would be attached to this switch
 }
 
-int Torus3DTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
-                           Rng&) {
+int Torus3DTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode) {
   const int dst_sw = fabric.switch_of_node(pkt.dst);
   const int dims[3] = {dx_, dy_, dz_};
   int cur[3] = {sw / (dy_ * dz_), (sw / dz_) % dy_, sw % dz_};

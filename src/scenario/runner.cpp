@@ -92,8 +92,7 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
 
   // Sharded execution must be exact; mid-run gauge sampling reads one
   // shard's engine mid-window, so it clamps back to serial here (Cluster
-  // itself additionally clamps for adaptive routing and zero-lookahead
-  // topologies).
+  // itself additionally clamps zero-lookahead topologies).
   int shards = spec.par_shards;
   if (spec.sample_period > 0) shards = 1;
   const auto t_build0 = std::chrono::steady_clock::now();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "motifs/rdma_transport.hpp"
 #include "motifs/rvma_transport.hpp"
@@ -97,27 +98,19 @@ void SocketsTransport::drain(ChannelState& cs) {
     stack.recv_wait(cs.recv_conn, [this, &cs] { drain(cs); });
     return;
   }
-  auto done = std::move(cs.waiters.front());
-  cs.waiters.pop_front();
-  // Only a wait queued before done() needs its drain started here: a
-  // recv_wait that done() issues on this channel starts its own, and a
-  // second drain would complete a message that never arrived.
-  const bool queued = !cs.waiters.empty();
+  // Clear the slot before resuming: a recv_wait that done() issues on this
+  // channel arms it again and starts its own drain.
+  std::function<void()> done = std::exchange(cs.waiter, nullptr);
   done();
-  if (queued) {
-    cs.draining = cs.ch.bytes;
-    drain(cs);
-  }
 }
 
 void SocketsTransport::recv_wait(int dst, int src, std::uint64_t tag,
                                  std::function<void()> done) {
   ChannelState& cs = state(src, dst, tag);
-  cs.waiters.push_back(std::move(done));
-  if (cs.waiters.size() == 1) {
-    cs.draining = cs.ch.bytes;
-    drain(cs);
-  }
+  assert(!cs.waiter && "a channel has at most one blocked receiver");
+  cs.waiter = std::move(done);
+  cs.draining = cs.ch.bytes;
+  drain(cs);
 }
 
 const motifs::TransportStats& SocketsTransport::stats() const {

@@ -4,7 +4,7 @@
 // motifs::RvmaTransport; rdma is motifs::RdmaTransport.
 #pragma once
 
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -45,7 +45,7 @@ class SocketsTransport final : public motifs::Transport {
     std::uint64_t sent = 0;  ///< written only on src's shard thread
     /// Bytes of the message currently being drained by recv_wait.
     std::uint64_t draining = 0;
-    std::deque<std::function<void()>> waiters;
+    std::function<void()> waiter;  ///< the one blocked recv_wait, if any
   };
 
   ChannelState& state(int src, int dst, std::uint64_t tag);

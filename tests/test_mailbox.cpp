@@ -172,7 +172,7 @@ TEST(Mailbox, RetireOnEmptyMailboxFailsWithoutStateChange) {
   EXPECT_FALSE(mb.retire_active(true).has_value());
   EXPECT_EQ(mb.epoch(), 0);
   EXPECT_EQ(mb.completed_count(), 0u);
-  EXPECT_TRUE(mb.retired().empty());
+  EXPECT_EQ(mb.retired_count(), 0u);
 
   // A drained mailbox behaves the same as a never-filled one.
   PostedBuffer buf;
@@ -230,7 +230,7 @@ TEST(Mailbox, RetireRingBounded) {
     ASSERT_EQ(mb.post(buf), Status::kOk);
     mb.retire_active(false);
   }
-  EXPECT_EQ(mb.retired().size(), 3u);
+  EXPECT_EQ(mb.retired_count(), 3u);
   EXPECT_EQ(mb.epoch(), 10);
 }
 
@@ -266,6 +266,67 @@ TEST(Mailbox, PostResetsCountersOnReusedDescriptor) {
   EXPECT_EQ(mb.active().bytes_received, 0u);
   EXPECT_EQ(mb.active().ops_received, 0);
   EXPECT_EQ(mb.active().write_cursor, 0u);
+}
+
+TEST(Mailbox, BucketStaysFifoAcrossWrapAndGrowth) {
+  // The posted-buffer ring wraps when retires free its head slots and
+  // regrows while wrapped; neither may reorder the bucket.
+  Mailbox mb = make_mailbox();
+  std::uint64_t next_post = 1, next_retire = 1;
+  auto post = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      PostedBuffer buf;
+      buf.size = next_post++;  // the size tags the buffer's post order
+      ASSERT_EQ(mb.post(buf), Status::kOk);
+    }
+  };
+  auto retire = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(mb.has_active());
+      EXPECT_EQ(mb.active().size, next_retire++);
+      ASSERT_TRUE(mb.retire_active(false).has_value());
+    }
+  };
+  post(4);
+  retire(3);
+  post(2);  // wraps inside the 4-slot ring
+  post(5);  // grows while wrapped
+  EXPECT_EQ(mb.posted_count(), 8u);
+  retire(6);
+  post(9);
+  retire(11);
+  EXPECT_FALSE(mb.has_active());
+  EXPECT_EQ(mb.posted_count(), 0u);
+}
+
+TEST(Mailbox, RetireRingKeepsNewestEpochsAfterWrapping) {
+  Mailbox mb = make_mailbox(1024, EpochType::kBytes, /*retire_depth=*/3);
+  for (std::uint64_t i = 0; i < 7; ++i) {
+    PostedBuffer buf;
+    buf.size = 100 + i;
+    ASSERT_EQ(mb.post(buf), Status::kOk);
+    mb.retire_active(false);
+  }
+  EXPECT_EQ(mb.retired_count(), 3u);
+  RetiredBuffer r;
+  for (int back = 1; back <= 3; ++back) {
+    ASSERT_EQ(mb.rewind(back, &r), Status::kOk);
+    EXPECT_EQ(r.size, 107u - static_cast<std::uint64_t>(back));
+    EXPECT_EQ(r.epoch, 7 - back);
+  }
+  EXPECT_EQ(mb.rewind(4, &r), Status::kNoBuffer);
+}
+
+TEST(Mailbox, OooDegreeTracksEachSenderSeparately) {
+  Mailbox mb = make_mailbox();
+  EXPECT_EQ(mb.ooo_degree(9, 5), 0u);
+  EXPECT_EQ(mb.ooo_degree(2, 1), 0u);  // new sender sorts before 9
+  EXPECT_EQ(mb.ooo_degree(9, 3), 2u);  // overtaken by counter 5
+  EXPECT_EQ(mb.ooo_degree(2, 4), 0u);
+  EXPECT_EQ(mb.ooo_degree(5, 0), 0u);  // new sender between 2 and 9
+  EXPECT_EQ(mb.ooo_degree(2, 2), 2u);
+  EXPECT_EQ(mb.ooo_degree(9, 8), 0u);  // in order, with a gap
+  EXPECT_EQ(mb.ooo_degree(9, 7), 1u);
 }
 
 TEST(CounterPool, AcquireRelease) {

@@ -1,7 +1,7 @@
 // Sharded parallel engine (PDES) tests: ShardedEngine window mechanics,
-// the Cluster's exactness clamps, and the headline guarantee — a windowed
-// K-shard run reproduces the serial run's observable results exactly, for
-// both transports (DESIGN.md §12).
+// the Cluster's shard-count clamps, and the headline guarantee — a
+// windowed K-shard run reproduces the serial run's observable results
+// exactly, for both transports and both routing modes (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,13 +100,6 @@ TEST(ClusterSharding, SerialByDefault) {
   EXPECT_EQ(c.num_shards(), 1);
 }
 
-TEST(ClusterSharding, AdaptiveRoutingClampsToSerial) {
-  // Adaptive routing consults per-network RNG streams; replicated
-  // networks would diverge, so exact sharding is impossible.
-  cluster::Cluster c(torus27(net::Routing::kAdaptive), nic::NicParams{}, 4);
-  EXPECT_EQ(c.num_shards(), 1);
-}
-
 TEST(ClusterSharding, ShardCountClampsToSwitchCount) {
   // 27 switches cannot feed 64 shards; the cluster clamps rather than
   // spinning empty workers.
@@ -150,9 +143,10 @@ struct Observed {
 };
 
 template <typename MakeTransport>
-Observed run_halo(int par_shards, MakeTransport make) {
-  cluster::Cluster cluster(torus27(net::Routing::kStatic), nic::NicParams{},
-                           par_shards);
+Observed run_halo(int par_shards, MakeTransport make,
+                  net::Routing routing = net::Routing::kStatic) {
+  cluster::Cluster cluster(torus27(routing), nic::NicParams{}, par_shards);
+  EXPECT_EQ(cluster.num_shards(), par_shards);
   auto transport = make(cluster);
   Observed obs;
   obs.result = MotifRunner(cluster, *transport, build_halo3d(halo27())).run();
@@ -166,6 +160,10 @@ auto make_rvma = [](cluster::Cluster& c) {
 auto make_rdma = [](cluster::Cluster& c) {
   // ordered_network: the test fabric is statically routed.
   return std::make_unique<RdmaTransport>(c, rdma::RdmaParams{}, true);
+};
+auto make_rdma_adaptive = [](cluster::Cluster& c) {
+  // Unordered fabric: the trailing completion send rides every message.
+  return std::make_unique<RdmaTransport>(c, rdma::RdmaParams{}, false);
 };
 
 void expect_identical(const Observed& serial, const Observed& sharded) {
@@ -204,6 +202,20 @@ TEST(PdesExactness, RdmaWindowedMatchesSerial) {
     SCOPED_TRACE(k);
     const Observed sharded = run_halo(k, make_rdma);
     expect_identical(serial, sharded);
+  }
+}
+
+TEST(PdesExactness, AdaptiveRoutingShardsAndMatchesSerial) {
+  // Adaptive routing reads only the packet and the deciding switch's own
+  // port backlogs, so an adaptive cluster really runs K shards (run_halo
+  // asserts num_shards() == K) and reproduces the serial run exactly.
+  const auto adaptive = net::Routing::kAdaptive;
+  const Observed rvma_serial = run_halo(1, make_rvma, adaptive);
+  const Observed rdma_serial = run_halo(1, make_rdma_adaptive, adaptive);
+  for (int k : {2, 3}) {
+    SCOPED_TRACE(k);
+    expect_identical(rvma_serial, run_halo(k, make_rvma, adaptive));
+    expect_identical(rdma_serial, run_halo(k, make_rdma_adaptive, adaptive));
   }
 }
 

@@ -2,7 +2,8 @@
 // closure helpers, the Cluster's matrix construction over non-uniform
 // link latencies, unreachable (+inf) pairs in a hand-built ShardedEngine,
 // bit-identity of windowed runs against serial across every topology at
-// K in {2, 3, 5}, and the windows_executed regression the matrix buys
+// K in {2, 3, 5} under static and adaptive routing (RVMA and RDMA
+// transports), and the windows_executed regression the matrix buys
 // over the scalar global-minimum lookahead on a wavefront workload.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "cluster/cluster.hpp"
 #include "motifs/halo3d.hpp"
+#include "motifs/rdma_transport.hpp"
 #include "motifs/runner.hpp"
 #include "motifs/rvma_transport.hpp"
 #include "motifs/sweep3d.hpp"
@@ -26,6 +28,7 @@ using motifs::build_sweep3d;
 using motifs::Halo3DConfig;
 using motifs::MotifResult;
 using motifs::MotifRunner;
+using motifs::RdmaTransport;
 using motifs::RvmaTransport;
 using motifs::Sweep3DConfig;
 
@@ -152,10 +155,11 @@ TEST(ShardedEngineMatrix, UnreachablePairNeverConstrainsWindow) {
 
 // ------------------------------- bit-identity across topologies and K
 
-net::NetworkConfig topo_cfg(net::TopologyKind kind) {
+net::NetworkConfig topo_cfg(net::TopologyKind kind,
+                            net::Routing routing = net::Routing::kStatic) {
   net::NetworkConfig cfg;
   cfg.topology = kind;
-  cfg.routing = net::Routing::kStatic;
+  cfg.routing = routing;
   cfg.nodes_hint = 64;
   // Non-uniform latencies: the long tier (torus wrap, dragonfly global,
   // fat-tree agg<->core, hyperx dim-1) at 7x — the matrix's entries then
@@ -168,19 +172,32 @@ net::NetworkConfig topo_cfg(net::TopologyKind kind) {
 struct Observed {
   MotifResult result;
   net::FabricStats fabric;
+  int shards = 1;
 };
 
-Observed run_halo(net::TopologyKind kind, int par_shards) {
-  cluster::Cluster cluster(topo_cfg(kind), nic::NicParams{}, par_shards);
-  RvmaTransport transport(cluster, core::RvmaParams{});
+enum class Wire { kRvma, kRdma };
+
+Observed run_halo(net::TopologyKind kind, int par_shards,
+                  net::Routing routing = net::Routing::kStatic,
+                  Wire wire = Wire::kRvma) {
+  cluster::Cluster cluster(topo_cfg(kind, routing), nic::NicParams{},
+                           par_shards);
+  std::unique_ptr<motifs::Transport> transport;
+  if (wire == Wire::kRvma) {
+    transport = std::make_unique<RvmaTransport>(cluster, core::RvmaParams{});
+  } else {
+    transport = std::make_unique<RdmaTransport>(
+        cluster, rdma::RdmaParams{}, routing == net::Routing::kStatic);
+  }
   Halo3DConfig halo;
   halo.px = halo.py = halo.pz = 4;  // 64 ranks
   halo.nx = halo.ny = halo.nz = 4;
   halo.iterations = 2;
   halo.compute_per_cell = 0;
   Observed obs;
-  obs.result = MotifRunner(cluster, transport, build_halo3d(halo)).run();
+  obs.result = MotifRunner(cluster, *transport, build_halo3d(halo)).run();
   obs.fabric = cluster.fabric_stats();
+  obs.shards = cluster.num_shards();
   return obs;
 }
 
@@ -200,11 +217,13 @@ void expect_identical(const Observed& serial, const Observed& sharded) {
   EXPECT_EQ(serial.fabric.max_port_backlog, sharded.fabric.max_port_backlog);
 }
 
+constexpr net::TopologyKind kAllTopologies[] = {
+    net::TopologyKind::kStar, net::TopologyKind::kTorus3D,
+    net::TopologyKind::kFatTree, net::TopologyKind::kDragonfly,
+    net::TopologyKind::kHyperX};
+
 TEST(PdesMatrixExactness, AllTopologiesMatchSerialAtK235) {
-  for (net::TopologyKind kind :
-       {net::TopologyKind::kStar, net::TopologyKind::kTorus3D,
-        net::TopologyKind::kFatTree, net::TopologyKind::kDragonfly,
-        net::TopologyKind::kHyperX}) {
+  for (net::TopologyKind kind : kAllTopologies) {
     SCOPED_TRACE(static_cast<int>(kind));
     const Observed serial = run_halo(kind, 1);
     for (int k : {2, 3, 5}) {
@@ -213,6 +232,117 @@ TEST(PdesMatrixExactness, AllTopologiesMatchSerialAtK235) {
       expect_identical(serial, sharded);
     }
   }
+}
+
+TEST(PdesMatrixExactness, AdaptiveRoutingMatchesSerialAtK235) {
+  // Adaptive routing shards too: every decision reads only the packet
+  // (the dragonfly's Valiant group is a draw keyed on packet content) and
+  // its own switch's port backlogs, so windowed runs stay exact for both
+  // the RVMA and the RDMA transport. Star has one switch and clamps to
+  // serial; every other topology must really run K shards.
+  for (net::TopologyKind kind : kAllTopologies) {
+    for (Wire wire : {Wire::kRvma, Wire::kRdma}) {
+      SCOPED_TRACE(static_cast<int>(kind) * 10 + static_cast<int>(wire));
+      const Observed serial = run_halo(kind, 1, net::Routing::kAdaptive, wire);
+      for (int k : {2, 3, 5}) {
+        SCOPED_TRACE(k);
+        const Observed sharded =
+            run_halo(kind, k, net::Routing::kAdaptive, wire);
+        if (kind != net::TopologyKind::kStar) {
+          EXPECT_EQ(sharded.shards, k);
+        }
+        expect_identical(serial, sharded);
+      }
+    }
+  }
+}
+
+// ------------------------- dragonfly Valiant draw is shard-invariant
+
+/// One delivered packet as the destination NIC would see it: its identity,
+/// the Valiant group it committed to (rt_aux: >= 0 detoured, -2 minimal)
+/// and when and over how many hops it arrived.
+struct Delivered {
+  net::MsgId id = 0;
+  std::uint32_t seq = 0;
+  std::int32_t valiant = -1;
+  std::uint16_t hops = 0;
+  Time at = 0;
+  bool operator==(const Delivered&) const = default;
+};
+
+/// Every node sends `pkts` 2 KiB packets to the same-index node of the
+/// next group at t=0, so each group's single global link to its neighbour
+/// saturates and UGAL has a reason to detour. Returns per-node delivery
+/// logs in arrival order.
+std::vector<std::vector<Delivered>> run_dragonfly_neighbour_flood(
+    int par_shards, int pkts) {
+  net::NetworkConfig cfg;
+  cfg.topology = net::TopologyKind::kDragonfly;
+  cfg.routing = net::Routing::kAdaptive;
+  cfg.df_p = 2;
+  cfg.df_a = 4;
+  cfg.df_h = 2;  // 9 groups x 4 switches x 2 nodes = 72
+  cfg.seed = 7;
+  cluster::Cluster cluster(cfg, nic::NicParams{}, par_shards);
+  EXPECT_EQ(cluster.num_shards(), par_shards);
+  const int n = cluster.num_nodes();
+  const int group_nodes = cfg.df_a * cfg.df_p;
+  // One log per node, written only by the shard thread owning that node.
+  std::vector<std::vector<Delivered>> log(static_cast<std::size_t>(n));
+  for (net::NodeId node = 0; node < n; ++node) {
+    sim::Engine& eng = cluster.engine_for(node);
+    cluster.network_for(node).set_delivery(
+        node, [&log, &eng, node](net::Packet&& pkt) {
+          log[static_cast<std::size_t>(node)].push_back(
+              {pkt.msg->id, pkt.seq, pkt.rt_aux, pkt.hops, eng.now()});
+        });
+  }
+  for (net::NodeId src = 0; src < n; ++src) {
+    const net::NodeId dst = (src + group_nodes) % n;
+    net::Network& net = cluster.network_for(src);
+    cluster.engine_for(src).schedule_at(0, [&net, src, dst, pkts] {
+      for (int i = 0; i < pkts; ++i) {
+        net::Message msg;
+        msg.src = src;
+        msg.dst = dst;
+        msg.id = (static_cast<net::MsgId>(src) << 40) |
+                 static_cast<net::MsgId>(i + 1);
+        msg.bytes = 2048;
+        net::Packet pkt;
+        pkt.src = src;
+        pkt.dst = dst;
+        pkt.msg = net::MsgRef::make(std::move(msg));
+        pkt.bytes = 2048;
+        net.inject(std::move(pkt));
+      }
+    });
+  }
+  if (cluster.sharded()) {
+    cluster.sharded_engine().run_windowed();
+  } else {
+    cluster.engine().run();
+  }
+  return log;
+}
+
+TEST(DragonflyValiant, ChoiceIsShardInvariantAndTakenUnderCongestion) {
+  const auto serial = run_dragonfly_neighbour_flood(1, 24);
+  const auto sharded = run_dragonfly_neighbour_flood(3, 24);
+  ASSERT_EQ(serial.size(), sharded.size());
+  std::size_t delivered = 0, detoured = 0;
+  for (std::size_t node = 0; node < serial.size(); ++node) {
+    SCOPED_TRACE(node);
+    // Same packets, same arrival order and instants, same Valiant group.
+    EXPECT_EQ(serial[node], sharded[node]);
+    delivered += serial[node].size();
+    for (const Delivered& d : serial[node]) {
+      if (d.valiant >= 0) ++detoured;
+    }
+  }
+  EXPECT_EQ(delivered, serial.size() * 24);
+  // The saturated neighbour links push some packets onto Valiant paths.
+  EXPECT_GT(detoured, 0u);
 }
 
 // ------------------------------------- windows regression vs scalar mode

@@ -222,7 +222,7 @@ TEST_P(EpochInvariantTest, EpochEqualsCompletions) {
             stats.completions + stats.soft_completions);
   const core::Mailbox* mb = receiver.find_mailbox(0x9);
   ASSERT_NE(mb, nullptr);
-  EXPECT_LE(mb->retired().size(), 3u);
+  EXPECT_LE(mb->retired_count(), 3u);
   EXPECT_EQ(mb->posted_count() + static_cast<std::size_t>(win.epoch()),
             static_cast<std::size_t>(posted));
 }

@@ -16,7 +16,9 @@
 #    rvma_run grid replay, which fans cells out over the executor;
 #  - the PDES and lookahead-matrix tests: the ShardedEngine's window
 #    barriers, cross-shard SPSC channels, per-destination windows and
-#    windowed-vs-serial identity, the full multi-threaded shard path;
+#    windowed-vs-serial identity under static and adaptive routing
+#    (adaptive routers read port backlogs from shard threads), the full
+#    multi-threaded shard path;
 #  - the flight-recorder tests: per-shard rings attached to windowed
 #    engines, and serial-vs-sharded span equality;
 #  - the rvma.h API tests: API-motif contexts driven from shard threads
