@@ -465,21 +465,19 @@ WindowGateRow bench_pdes_windows() {
 }
 
 struct PaperScaleRow {
-  double construct_seconds = 0;  ///< Cluster build: wiring + routes + NICs
+  double construct_seconds = 0;  ///< Cluster build: wiring + NICs
   double sim_seconds = 0;        ///< halo3d motif execution
-  std::size_t route_table_bytes = 0;
   std::size_t peak_rss_bytes = 0;  ///< process VmHWM after this row ran
   double packets_per_sec = 0;
   std::uint64_t packets = 0;
   rvma::Time makespan = 0;
 };
 
-/// Paper-scale (8,192-rank) torus halo exchange, once per route-table
-/// mode. Construction time is reported separately from simulation time —
-/// the materialized ablation pays an O(S*N) table build (67M oracle route
-/// calls at this scale) that the algebraic mode skips entirely. The two
-/// modes must agree on the makespan bit-for-bit; a mismatch aborts.
-PaperScaleRow bench_paper_scale(rvma::net::RouteTable mode) {
+/// Paper-scale (8,192-rank) torus halo exchange. Construction time is
+/// reported separately from simulation time: static next hops are
+/// computed per hop, so the build holds no per-destination state and
+/// run_bench.sh bounds it.
+PaperScaleRow bench_paper_scale() {
   namespace net = rvma::net;
   namespace nic = rvma::nic;
   using rvma::cluster::Cluster;
@@ -493,7 +491,6 @@ PaperScaleRow bench_paper_scale(rvma::net::RouteTable mode) {
   cfg.routing = net::Routing::kStatic;
   cfg.nodes_hint = 8192;
   cfg.seed = 11;
-  cfg.route_table = mode;
 
   Halo3DConfig halo;
   halo.px = 32;
@@ -507,7 +504,6 @@ PaperScaleRow bench_paper_scale(rvma::net::RouteTable mode) {
   const auto t0 = std::chrono::steady_clock::now();
   Cluster cluster(cfg, nic::NicParams{});
   row.construct_seconds = seconds_since(t0);
-  row.route_table_bytes = cluster.route_table_bytes();
 
   RvmaTransport transport(cluster, rvma::core::RvmaParams{});
   const auto t1 = std::chrono::steady_clock::now();
@@ -553,18 +549,7 @@ int main(int argc, char** argv) {
       bench_fabric(40'000, 64 * 1024, Pattern::kRing, true, /*record=*/true);
   const std::vector<ShardRow> shards = bench_pdes_shards();
   const WindowGateRow windows_gate = bench_pdes_windows();
-  const PaperScaleRow paper_alg =
-      bench_paper_scale(rvma::net::RouteTable::kAlgebraic);
-  const PaperScaleRow paper_lut =
-      bench_paper_scale(rvma::net::RouteTable::kMaterialized);
-  if (paper_alg.makespan != paper_lut.makespan) {
-    std::fprintf(stderr,
-                 "ERROR: paper-scale makespan differs: algebraic %llu != "
-                 "materialized %llu\n",
-                 static_cast<unsigned long long>(paper_alg.makespan),
-                 static_cast<unsigned long long>(paper_lut.makespan));
-    return 1;
-  }
+  const PaperScaleRow paper = bench_paper_scale();
 
   const double speedup = chain.events_per_sec / kBaselineChainEventsPerSec;
   const double express_speedup =
@@ -637,15 +622,11 @@ int main(int argc, char** argv) {
       static_cast<long long>(windows_gate.lookahead_min_ps),
       static_cast<long long>(windows_gate.lookahead_max_ps),
       static_cast<long long>(windows_gate.lookahead_mean_ps));
-  for (const PaperScaleRow* row : {&paper_alg, &paper_lut}) {
-    std::printf(
-        "8192-node torus (%s): construct %.2fs, simulate %.2fs, "
-        "%.2fM packets/s, route table %.1f MiB, peak rss %.0f MiB\n",
-        row == &paper_alg ? "algebraic" : "materialized",
-        row->construct_seconds, row->sim_seconds, row->packets_per_sec / 1e6,
-        static_cast<double>(row->route_table_bytes) / (1024.0 * 1024.0),
-        static_cast<double>(row->peak_rss_bytes) / (1024.0 * 1024.0));
-  }
+  std::printf(
+      "8192-node torus: construct %.3fs, simulate %.2fs, %.2fM packets/s, "
+      "peak rss %.0f MiB\n",
+      paper.construct_seconds, paper.sim_seconds, paper.packets_per_sec / 1e6,
+      static_cast<double>(paper.peak_rss_bytes) / (1024.0 * 1024.0));
   std::printf("speedup vs seed baseline (chain): %.2fx\n", speedup);
 
   FILE* f = std::fopen(out_path, "w");
@@ -783,24 +764,16 @@ int main(int argc, char** argv) {
       static_cast<long long>(windows_gate.lookahead_max_ps),
       static_cast<long long>(windows_gate.lookahead_mean_ps),
       static_cast<unsigned long long>(windows_gate.makespan));
-  std::fprintf(f, "  \"paper_scale_8192\": {\n");
-  for (const PaperScaleRow* row : {&paper_alg, &paper_lut}) {
-    std::fprintf(f,
-                 "    \"%s\": {\"construct_seconds\": %.3f, "
-                 "\"sim_seconds\": %.3f, \"packets_per_sec\": %.0f, "
-                 "\"route_table_bytes\": %llu, \"peak_rss_bytes\": %llu, "
-                 "\"makespan_ps\": %llu},\n",
-                 row == &paper_alg ? "algebraic" : "materialized",
-                 row->construct_seconds, row->sim_seconds,
-                 row->packets_per_sec,
-                 static_cast<unsigned long long>(row->route_table_bytes),
-                 static_cast<unsigned long long>(row->peak_rss_bytes),
-                 static_cast<unsigned long long>(row->makespan));
-  }
-  std::fprintf(
-      f, "    \"route_table_bytes_reduction\": %.0f\n  },\n",
-      static_cast<double>(paper_lut.route_table_bytes) /
-          static_cast<double>(paper_alg.route_table_bytes + 1));
+  std::fprintf(f,
+               "  \"paper_scale_8192\": {\n"
+               "    \"algebraic\": {\"construct_seconds\": %.3f, "
+               "\"sim_seconds\": %.3f, \"packets_per_sec\": %.0f, "
+               "\"peak_rss_bytes\": %llu, \"makespan_ps\": %llu}\n"
+               "  },\n",
+               paper.construct_seconds, paper.sim_seconds,
+               paper.packets_per_sec,
+               static_cast<unsigned long long>(paper.peak_rss_bytes),
+               static_cast<unsigned long long>(paper.makespan));
   std::fprintf(f,
                "  \"peak_rss_bytes\": %llu,\n"
                "  \"speedup_chain_events_per_sec\": %.3f,\n"

@@ -20,11 +20,11 @@ int main() {
   // 1. A simulated 2-node cluster (one switch, 100 Gbps links). The
   //    cluster is the only C++ object here; everything RVMA stays on the
   //    C header.
-  rvma::cluster::Cluster cluster(
-      rvma::cluster::ClusterBuilder()
-          .topology(rvma::net::TopologyKind::kStar)
-          .nodes(2)
-          .link_bandwidth(rvma::Bandwidth::gbps(100)));
+  rvma::net::NetworkConfig net;
+  net.topology = rvma::net::TopologyKind::kStar;
+  net.nodes_hint = 2;
+  net.link.bw = rvma::Bandwidth::gbps(100);
+  rvma::cluster::Cluster cluster(net, rvma::nic::NicParams{});
 
   rvma_ctx initiator = rvma_initialize(&cluster, 0);
   rvma_ctx target = rvma_initialize(&cluster, 1);

@@ -106,7 +106,7 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   }
 
   // Remaining shards: identical construction (same config, same seed)
-  // yields identical wiring and route tables; each shard's fabric only
+  // yields identical wiring and routes; each shard's fabric only
   // ever arbitrates ports on its own switches.
   for (int s = 1; s < k; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -224,22 +224,10 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   }
 }
 
-Cluster::Cluster(const ClusterBuilder& builder)
-    : Cluster(builder.net_config(), builder.nic_params(),
-              builder.par_shards()) {}
-
 void Cluster::enable_sampling(Time period) {
   assert(!sharded() && "sampling requires a serial (one-shard) cluster");
   sampler_->enable(period);
   shards_[0]->engine.set_sampler(sampler_.get());
-}
-
-std::size_t Cluster::route_table_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& sh : shards_) {
-    bytes += sh->network->fabric().route_table_bytes();
-  }
-  return bytes;
 }
 
 net::FabricStats Cluster::fabric_stats() const {

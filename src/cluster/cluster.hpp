@@ -4,8 +4,8 @@
 // sampler. This is the single place where the simulation layers are wired
 // together; everything above it (protocol endpoints, transports, motifs,
 // benches, examples) receives an already-assembled Cluster — either built
-// directly from a NetworkConfig, fluently through ClusterBuilder, or
-// declaratively through a scenario spec (src/scenario).
+// directly from a NetworkConfig + NicParams, or declaratively through a
+// scenario spec (src/scenario).
 //
 // Sharded mode (par_shards > 1): the switch set splits into contiguous
 // shard slabs, each with its own Engine, MetricsRegistry, and a full copy
@@ -33,15 +33,12 @@
 
 namespace rvma::cluster {
 
-class ClusterBuilder;
-
 /// Engine + network + one NIC per node: the simulated machine every
 /// experiment instantiates.
 class Cluster {
  public:
   Cluster(const net::NetworkConfig& net_config,
           const nic::NicParams& nic_params, int par_shards = 1);
-  explicit Cluster(const ClusterBuilder& builder);
 
   /// Shard 0's engine — THE engine of a serial (par_shards == 1) cluster.
   /// Sharded callers must anchor per-node work via engine_for().
@@ -89,11 +86,6 @@ class Cluster {
   /// Whole-machine fabric view: counters summed across shards,
   /// max_port_backlog maxed. Equals network().fabric().stats() when serial.
   net::FabricStats fabric_stats() const;
-
-  /// Static-routing state resident bytes summed across shards (each shard
-  /// replicates the Network): 0 under algebraic routing, K * S * N * 4
-  /// under the materialized LUT ablation.
-  std::size_t route_table_bytes() const;
 
   /// The cluster-wide instrument registry every layer records into
   /// (shard 0's registry when sharded — use collect_metrics() for totals).
@@ -191,94 +183,6 @@ class Cluster {
   Time lookahead_ = 0;  ///< min direct crossing latency (scalar baseline)
   /// Path-closed per-pair lookahead, [src * K + dst]; empty when serial.
   std::vector<Time> lookahead_matrix_;
-};
-
-/// Fluent front-end over (NetworkConfig, NicParams) for callers that wire
-/// a machine inline — examples, benches, perf harnesses. Keeps the
-/// "construct Engine/Fabric/NIC" knowledge inside this library: callers
-/// describe the machine, Cluster assembles it.
-///
-///   cluster::Cluster c(cluster::ClusterBuilder()
-///                          .topology(net::TopologyKind::kFatTree)
-///                          .routing(net::Routing::kAdaptive)
-///                          .nodes(17)
-///                          .link_bandwidth(Bandwidth::gbps(400)));
-class ClusterBuilder {
- public:
-  ClusterBuilder& topology(net::TopologyKind kind) {
-    net_.topology = kind;
-    return *this;
-  }
-  ClusterBuilder& routing(net::Routing routing) {
-    net_.routing = routing;
-    return *this;
-  }
-  ClusterBuilder& nodes(int n) {
-    net_.nodes_hint = n;
-    return *this;
-  }
-  ClusterBuilder& link_bandwidth(Bandwidth bw) {
-    net_.link.bw = bw;
-    return *this;
-  }
-  ClusterBuilder& link_latency(Time t) {
-    net_.link.latency = t;
-    return *this;
-  }
-  /// Latency for the topology's long link tier (0 = uniform); see
-  /// NetworkConfig::long_link_latency.
-  ClusterBuilder& long_link_latency(Time t) {
-    net_.long_link_latency = t;
-    return *this;
-  }
-  ClusterBuilder& switch_latency(Time t) {
-    net_.switch_latency = t;
-    return *this;
-  }
-  ClusterBuilder& xbar_factor(double factor) {
-    net_.xbar_factor = factor;
-    return *this;
-  }
-  ClusterBuilder& concentration(int c) {
-    net_.concentration = c;
-    return *this;
-  }
-  ClusterBuilder& seed(std::uint64_t s) {
-    net_.seed = s;
-    return *this;
-  }
-  ClusterBuilder& express(bool on) {
-    net_.express = on;
-    return *this;
-  }
-  /// Number of parallel engine shards (1 = serial; clamped to the switch
-  /// count and to 1 whenever exact sharding is impossible — see Cluster).
-  ClusterBuilder& par_shards(int k) {
-    par_shards_ = k;
-    return *this;
-  }
-  /// Wholesale overrides for callers that already hold a config.
-  ClusterBuilder& net_config(const net::NetworkConfig& config) {
-    net_ = config;
-    return *this;
-  }
-  ClusterBuilder& nic_params(const nic::NicParams& params) {
-    nic_ = params;
-    return *this;
-  }
-
-  const net::NetworkConfig& net_config() const { return net_; }
-  const nic::NicParams& nic_params() const { return nic_; }
-  int par_shards() const { return par_shards_; }
-
-  std::unique_ptr<Cluster> build() const {
-    return std::make_unique<Cluster>(net_, nic_, par_shards_);
-  }
-
- private:
-  net::NetworkConfig net_;
-  nic::NicParams nic_;
-  int par_shards_ = 1;
 };
 
 }  // namespace rvma::cluster

@@ -128,22 +128,10 @@ void Fabric::set_express_rx(NodeId node, Time rx_delay, Delivery rx) {
   node_attach_[node].express_rx_delay = rx_delay;
 }
 
-void Fabric::set_static_routes(std::vector<std::int32_t> table) {
-  assert(table.empty() ||
-         table.size() == switches_.size() * node_attach_.size());
-  static_routes_ = std::move(table);
-  next_hop_fn_ = nullptr;
-  next_hop_ctx_ = nullptr;
-  static_mode_ = !static_routes_.empty();
-}
-
 void Fabric::set_algebraic_routes(NextHopFn fn, const void* ctx) {
   assert(fn != nullptr);
-  static_routes_.clear();
-  static_routes_.shrink_to_fit();
   next_hop_fn_ = fn;
   next_hop_ctx_ = ctx;
-  static_mode_ = true;
 }
 
 void Fabric::set_shard_map(int my_shard,
@@ -226,7 +214,7 @@ void Fabric::inject(Packet&& pkt) {
   at.inj_busy = finish;
   const Time arrival = finish + at.inj_link.latency;
   const int sw = at.sw;
-  if (static_mode_) {
+  if (has_static_routes()) {
     // Reserve the delivery/rx sequence pair whether or not the express
     // path engages, so tie-break order of all events shared between the
     // two modes is identical (the exactness invariant, DESIGN.md §8).
@@ -257,7 +245,7 @@ void Fabric::inject_burst(std::vector<Packet>& pkts) {
   }
 
   NodeAttach& at = node_attach_[src];
-  const bool reserved = static_mode_;
+  const bool reserved = has_static_routes();
   burst_arrivals_.clear();
   burst_arrivals_.reserve(pkts.size());
   // Phase 1 — identical in every routing/express mode: per-packet
@@ -846,10 +834,9 @@ void Fabric::arrive_at_switch(int sw, Packet&& pkt) {
   const NodeAttach& dst_at = node_attach_[pkt.dst];
   if (dst_at.sw == sw) {
     port = dst_at.port;  // ejection to the destination node
-  } else if (static_mode_) {
-    // Deterministic routing: O(1) coordinate arithmetic (or one flat-array
-    // load under the materialized LUT) instead of a std::function call
-    // into the topology's route logic per hop.
+  } else if (has_static_routes()) {
+    // Deterministic routing: O(1) coordinate arithmetic instead of a
+    // std::function call into the topology's route logic per hop.
     port = next_hop(sw, pkt.dst);
     c_route_cache_hits_->inc();
     assert(port >= 0 && port < s.num_ports);

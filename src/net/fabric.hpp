@@ -125,33 +125,18 @@ class Fabric {
   /// so the per-hop dispatch is one indirect call with no capture storage.
   using NextHopFn = int (*)(const void* ctx, int sw, NodeId dst);
 
-  /// Install the precomputed next-hop table for deterministic routing:
-  /// entry [sw * num_attached_nodes() + dst] is the output port at `sw`
-  /// for a transit packet to node `dst` (ejection switches excluded — the
-  /// fabric takes the ejection path before consulting routing). While a
-  /// table is installed, transit hops bypass the router_ std::function
-  /// call entirely; adaptive routing never installs one. Built by
-  /// Network after wiring (see Network ctor).
-  void set_static_routes(std::vector<std::int32_t> table);
-
-  /// Install an algebraic static resolver instead of a materialized table:
-  /// same routing semantics and identical simulation output, O(1) memory.
-  /// `ctx` must outlive the fabric's routing (Network owns both).
+  /// Install the static next-hop resolver for deterministic routing.
+  /// While one is installed, transit hops bypass the router_ std::function
+  /// call entirely; adaptive routing never installs one. `ctx` must
+  /// outlive the fabric's routing (Network owns both).
   void set_algebraic_routes(NextHopFn fn, const void* ctx);
 
   /// True when static next hops are resolvable without the router_
-  /// callback — either resolver form counts.
-  bool has_static_routes() const { return static_mode_; }
-
-  /// Resident bytes of static-routing state: the materialized LUT's
-  /// capacity, or 0 under the algebraic resolver. The paper-scale metric
-  /// BENCH_engine.json tracks (route-table memory, ISSUE 7).
-  std::size_t route_table_bytes() const {
-    return static_routes_.capacity() * sizeof(std::int32_t);
-  }
+  /// callback.
+  bool has_static_routes() const { return next_hop_fn_ != nullptr; }
 
   /// Arm or disarm the express cut-through fast path (--no-express
-  /// ablation). Only effective while a static route table is installed;
+  /// ablation). Only effective while static routes are installed;
   /// timing and stats are bit-identical either way, and flight-recorder
   /// spans differ only in express_commit standing for tx_inject.
   void set_express_enabled(bool on) { express_enabled_ = on; }
@@ -359,12 +344,9 @@ class Fabric {
   }
 
   /// Static next hop (local port at `sw`) for a transit packet to `dst`:
-  /// O(1) arithmetic under the algebraic resolver, one array load under
-  /// the materialized LUT. Only valid while has_static_routes().
+  /// O(1) arithmetic. Only valid while has_static_routes().
   int next_hop(int sw, NodeId dst) const {
-    if (next_hop_fn_ != nullptr) return next_hop_fn_(next_hop_ctx_, sw, dst);
-    return static_routes_[static_cast<std::size_t>(sw) * node_attach_.size() +
-                          static_cast<std::size_t>(dst)];
+    return next_hop_fn_(next_hop_ctx_, sw, dst);
   }
 
   void arrive_at_switch(int sw, Packet&& pkt);
@@ -414,16 +396,10 @@ class Fabric {
   std::vector<NodeId> port_peer_node_;      ///< -1 when the peer is a switch
   std::vector<NodeAttach> node_attach_;
   Router router_;
-  /// Flat (switch, dst) -> port table for static routing; empty when the
-  /// routing mode is adaptive (per-packet router_ calls) or the algebraic
-  /// resolver is installed.
-  std::vector<std::int32_t> static_routes_;
-  /// Algebraic static resolver; when set, next_hop() never touches the
-  /// materialized table.
+  /// Static next-hop resolver; null under adaptive routing (per-packet
+  /// router_ calls).
   NextHopFn next_hop_fn_ = nullptr;
   const void* next_hop_ctx_ = nullptr;
-  /// True when either static resolver form is installed.
-  bool static_mode_ = false;
   /// Sharding (empty when this fabric owns the whole topology): owning
   /// shard per switch, this fabric's shard id, and the handoff hook.
   std::vector<std::int32_t> shard_of_switch_;

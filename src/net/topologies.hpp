@@ -16,11 +16,8 @@ class StarTopology final : public Topology {
   void build(Fabric& fabric) override;
   int route(Fabric&, int, Packet&, Routing) override;
   /// Never consulted: every destination is on the single switch, so the
-  /// fabric always takes the ejection path before routing. Declaring the
-  /// topology algebraic keeps static-mode semantics (express eligibility,
-  /// sequence reservation) identical with zero route-table bytes.
+  /// fabric always takes the ejection path before routing.
   int static_next_hop(int, NodeId) const override { return -1; }
-  bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override {
     return TopologyFootprint{1, 0, nodes_};
   }
@@ -43,7 +40,6 @@ class Torus3DTopology final : public Topology {
   void build(Fabric& fabric) override;
   int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
-  bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;
   int diameter() const override { return dx_ / 2 + dy_ / 2 + dz_ / 2; }
 
@@ -68,7 +64,6 @@ class FatTreeTopology final : public Topology {
   void build(Fabric& fabric) override;
   int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
-  bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;
   int diameter() const override { return 6; }
 
@@ -101,7 +96,6 @@ class DragonflyTopology final : public Topology {
   void build(Fabric& fabric) override;
   int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
-  bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;
   int diameter() const override { return 5; }  // l-g-l worst case (+detour)
 
@@ -148,7 +142,6 @@ class HyperXTopology final : public Topology {
   void build(Fabric& fabric) override;
   int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) override;
   int static_next_hop(int sw, NodeId dst) const override;
-  bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override;
   int diameter() const override { return 2; }
 

@@ -25,20 +25,15 @@ enum class Routing {
 
 enum class TopologyKind { kStar, kTorus3D, kFatTree, kDragonfly, kHyperX };
 
-/// How static next-hops are resolved on the fabric hot path.
-///
-/// Every registered topology is regular, so the static next hop is a pure
-/// O(1) function of (switch, dst) coordinates — no per-destination storage.
-/// kAlgebraic installs that function directly; kMaterialized precomputes
-/// the full O(switches x nodes) int32 LUT (the pre-PR-7 behavior), kept as
-/// an ablation and as the oracle the algebraic routers are tested against.
-/// Simulation results are bit-identical either way (DESIGN.md §13); only
-/// memory footprint and construction time move.
+/// Static next hops are always O(1) arithmetic on (switch, dst)
+/// coordinates (Topology::static_next_hop); no per-destination table is
+/// stored. This enum survives only so the frozen benchmark driver
+/// (rvbench/rvbench.cpp) still compiles: kMaterialized names the removed
+/// O(switches x nodes) LUT and Network rejects it.
 enum class RouteTable { kAlgebraic, kMaterialized };
 
 std::string to_string(TopologyKind kind);
 std::string to_string(Routing routing);
-std::string to_string(RouteTable table);
 
 struct NetworkConfig {
   TopologyKind topology = TopologyKind::kStar;
@@ -77,7 +72,7 @@ struct NetworkConfig {
   /// it off (--no-express ablation), only event counts and wall time move.
   bool express = true;
 
-  /// Static next-hop resolution strategy (ignored under adaptive routing).
+  /// Benchmark-driver shim (see RouteTable); must stay kAlgebraic.
   RouteTable route_table = RouteTable::kAlgebraic;
 };
 
@@ -105,18 +100,10 @@ class Topology {
   virtual int route(Fabric& fabric, int sw, Packet& pkt, Routing mode) = 0;
 
   /// O(1) static next hop for a transit packet at `sw` headed to `dst`
-  /// (dst's switch != sw). Must agree with route(..., kStatic, ...) on
-  /// every reachable (sw, dst) pair — test_routing_algebra checks this
-  /// against the materialized LUT oracle. Only consulted when
-  /// algebraic_routing() is true.
-  virtual int static_next_hop(int sw, NodeId dst) const {
-    (void)sw;
-    (void)dst;
-    return -1;
-  }
-
-  /// True when static_next_hop implements this topology's static routing.
-  virtual bool algebraic_routing() const { return false; }
+  /// (dst's switch != sw): the fabric's only static-routing path. Must
+  /// agree with route(..., kStatic, ...) on every reachable (sw, dst)
+  /// pair — test_routing_algebra checks it against that reference.
+  virtual int static_next_hop(int sw, NodeId dst) const = 0;
 
   /// Element counts for Fabric::reserve(); all-zero means "unknown".
   virtual TopologyFootprint footprint() const { return {}; }

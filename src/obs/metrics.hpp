@@ -27,7 +27,7 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
   /// Reconcile a speculative increment that did not happen after all (the
-  /// fabric's express path counts route-table hits at commit time and
+  /// fabric's express path counts static next-hop hits at commit time and
   /// uncounts the not-yet-taken ones when a packet rematerializes onto the
   /// hop-by-hop path). Never drops the counter below a value an external
   /// reader has observed: callers only retract their own same-run credit.

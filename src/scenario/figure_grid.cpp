@@ -332,20 +332,7 @@ std::vector<std::string> split_commas(const std::string& text) {
 
 int run_figure_cli(GridSpec grid, int argc, char** argv) {
   Cli cli(argc, argv);
-  grid.base.nodes = static_cast<int>(cli.get_int("nodes", grid.base.nodes));
-  grid.base.rdma_slots =
-      static_cast<int>(cli.get_int("rdma-slots", grid.base.rdma_slots));
-  grid.base.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(grid.base.seed)));
-  grid.base.par_shards =
-      static_cast<int>(cli.get_int("par-shards", grid.base.par_shards));
-  grid.base.route_table = cli.get("route-table", grid.base.route_table);
-  if (grid.base.route_table != "algebraic" &&
-      grid.base.route_table != "materialized") {
-    std::fprintf(stderr, "bad --route-table \"%s\" (want algebraic|materialized)\n",
-                 grid.base.route_table.c_str());
-    return 2;
-  }
+  apply_base_overlay(cli, &grid.base);
   // Comma-list overlays narrow the sweep without editing the document —
   // --cases=torus3d-static,fattree-static --gbps=100,2000. Case names are
   // validated by resolve_topo_case before any cell runs.
@@ -365,13 +352,6 @@ int run_figure_cli(GridSpec grid, int argc, char** argv) {
     }
   }
   const bool quick = cli.get_bool("quick", false);
-  grid.base.express = !cli.get_bool("no-express", false);
-  // Per-run observability outputs; run_grid suffixes ".run<i>" per cell
-  // half. Arming the recorder never changes the printed table or metrics.
-  grid.base.flight_recorder_path =
-      cli.get("flight-recorder", grid.base.flight_recorder_path);
-  grid.base.pdes_profile_path =
-      cli.get("pdes-profile", grid.base.pdes_profile_path);
   GridRunOptions opts;
   opts.jobs = static_cast<int>(cli.get_int("jobs", 0));
   opts.json_path = cli.get("json", "");

@@ -93,10 +93,10 @@ struct GridRunOptions {
 /// code.
 int run_grid_with_output(const GridSpec& grid, const GridRunOptions& opts);
 
-/// CLI driver shared by fig7_sweep3d / fig8_halo3d: parses --nodes,
-/// --rdma-slots, --quick, --no-express, --jobs, --seed, --json,
-/// --metrics, --metrics-period-us, --serial-wall-s, --flight-recorder,
-/// --pdes-profile; runs the grid and
+/// CLI driver shared by fig7_sweep3d / fig8_halo3d: overlays
+/// apply_base_overlay's flags onto the grid's base scenario, parses
+/// --quick, --jobs, --cases, --gbps, --json, --metrics,
+/// --metrics-period-us, --serial-wall-s; runs the grid and
 /// prints the table plus a wall-clock footer. `--emit-grid=<path>`
 /// writes the configured GridSpec as a scenario-grid document (for
 /// rvma_run) instead of running it.

@@ -18,6 +18,12 @@ bool resolve(const ScenarioSpec& spec, net::NetworkConfig* cfg,
     if (error != nullptr) *error = msg;
     return false;
   };
+  // The one range check for counts, whichever source (file, flag, grid
+  // base) set them: a non-positive count would run an empty machine and
+  // report it as a result.
+  if (spec.nodes < 1) return fail("nodes must be >= 1");
+  if (spec.par_shards < 1) return fail("par_shards must be >= 1");
+  if (spec.doorbell_batch < 1) return fail("doorbell_batch must be >= 1");
   const TopologyEntry* topo = topologies().find(spec.topology);
   if (topo == nullptr)
     return fail("unknown topology \"" + spec.topology + "\"");
@@ -48,15 +54,6 @@ bool resolve(const ScenarioSpec& spec, net::NetworkConfig* cfg,
   cfg->concentration = spec.concentration;
   cfg->seed = spec.seed;
   cfg->express = spec.express;
-  // Spec validation already constrains the string to these two values;
-  // anything else is a programming error upstream, so fail loudly here too.
-  if (spec.route_table == "materialized") {
-    cfg->route_table = net::RouteTable::kMaterialized;
-  } else if (spec.route_table == "algebraic") {
-    cfg->route_table = net::RouteTable::kAlgebraic;
-  } else {
-    return fail("unknown route_table \"" + spec.route_table + "\"");
-  }
   return true;
 }
 
@@ -175,7 +172,6 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
     };
     timing->construct_wall_s = secs(t_build0, t_build1);
     timing->sim_wall_s = secs(t_sim0, t_sim1);
-    timing->route_table_bytes = cluster.route_table_bytes();
     timing->peak_rss_bytes = rvma::peak_rss_bytes();
     timing->shards = cluster.num_shards();
   }

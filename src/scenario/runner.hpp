@@ -1,4 +1,4 @@
-// ScenarioRunner: materialize and execute one ScenarioSpec.
+// ScenarioRunner: build and execute one ScenarioSpec.
 //
 // The single place a declarative spec becomes a live simulation: resolve
 // the topology/transport/motif names through the registries, assemble the
@@ -40,17 +40,17 @@ struct ScenarioResult {
 /// defaulted operator== anchors the jobs=N vs jobs=1 and shards=K vs
 /// serial byte-identity gates.
 struct RunTiming {
-  double construct_wall_s = 0;  ///< Cluster build (topology + routes + NICs)
+  double construct_wall_s = 0;  ///< Cluster build (topology + NICs)
   double sim_wall_s = 0;        ///< motif execution only
-  std::size_t route_table_bytes = 0;  ///< resident static-route bytes, all shards
-  std::size_t peak_rss_bytes = 0;     ///< process VmHWM after the run
+  std::size_t peak_rss_bytes = 0;  ///< process VmHWM after the run
   int shards = 0;  ///< engine shards the run used, after Cluster's clamps
 };
 
-/// Resolve every registry name in `spec` and build the motif programs
-/// once, without running anything. Returns false with *error set on an
-/// unknown topology/routing/transport/motif or bad motif params — call
-/// before fanning a grid out so workers cannot fail mid-sweep.
+/// Check the counts (nodes, par_shards, doorbell_batch >= 1), resolve
+/// every registry name in `spec` and build the motif programs once,
+/// without running anything. Returns false with *error set on a bad
+/// count, an unknown topology/routing/transport/motif or bad motif params
+/// — call before fanning a grid out so workers cannot fail mid-sweep.
 bool validate_scenario(const ScenarioSpec& spec, std::string* error);
 
 /// Run one scenario. When `timing` is non-null it receives the run's

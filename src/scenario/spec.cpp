@@ -1,7 +1,10 @@
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -62,15 +65,11 @@ void append_spec_object(std::string* out, const ScenarioSpec& spec,
       .append(",\n");
   out->append(in3).append("\"express\": ")
       .append(spec.express ? "true" : "false");
-  // Default-valued long_link_latency and route_table are omitted so
-  // pre-existing specs (and their golden bytes) round-trip unchanged.
+  // Default-valued long_link_latency is omitted so pre-existing specs
+  // (and their golden bytes) round-trip unchanged.
   if (spec.long_link_latency != 0) {
     out->append(",\n").append(in3).append("\"long_link_latency\": ");
     append_quoted(out, canonical_duration(spec.long_link_latency));
-  }
-  if (spec.route_table != "algebraic") {
-    out->append(",\n").append(in3).append("\"route_table\": ");
-    append_quoted(out, spec.route_table);
   }
   out->append("\n");
   out->append(in2).append("},\n");
@@ -122,7 +121,7 @@ void append_spec_object(std::string* out, const ScenarioSpec& spec,
     out->append(",\n").append(in2).append("\"metrics\": ");
     append_quoted(out, spec.metrics_path);
   }
-  // Like route_table/par_shards: output fields default to off and are
+  // Like par_shards: output fields default to off and are
   // omitted then, keeping pre-existing specs' golden bytes unchanged.
   if (!spec.flight_recorder_path.empty()) {
     out->append(",\n").append(in2).append("\"flight_recorder\": ");
@@ -141,96 +140,152 @@ void append_spec_object(std::string* out, const ScenarioSpec& spec,
   out->append("\n").append(indent).append("}");
 }
 
-bool parse_spec_object(const obs::JsonValue& root, ScenarioSpec* out,
-                       std::string* error) {
-  auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
+/// Typed member reads over one JSON object. A present member of the wrong
+/// JSON type fails naming its key, and finish() rejects every member no
+/// read asked for: a typo'd key or a quoted number must fail loud, not
+/// silently simulate the default. The first failure sticks; later reads
+/// are no-ops.
+class MemberReader {
+ public:
+  using Kind = obs::JsonValue::Kind;
+
+  /// `doc` prefixes error messages ("scenario", "grid"); `path` prefixes
+  /// key names ("", "topology.", "base.motif.").
+  MemberReader(const obs::JsonValue& object, const char* doc,
+               std::string path, std::string* error)
+      : object_(object), doc_(doc), path_(std::move(path)), error_(error) {}
+
+  /// The member `key` when present with JSON type `kind`; nullptr when
+  /// absent, mistyped (which fails the reader) or after a failure.
+  const obs::JsonValue* get(std::string_view key, Kind kind,
+                            const char* want) {
+    known_.push_back(key);
+    const obs::JsonValue* v = object_.find(key);
+    if (v == nullptr || !ok_) return nullptr;
+    if (v->kind != kind) {
+      fail(key, std::string("must be ") + want);
+      return nullptr;
+    }
+    return v;
+  }
+  /// An object member; read its keys through nested().
+  const obs::JsonValue* object(std::string_view key) {
+    return get(key, Kind::kObject, "an object");
+  }
+  MemberReader nested(const obs::JsonValue& object, std::string_view key) {
+    return MemberReader(object, doc_, path_ + std::string(key) + ".", error_);
+  }
+  const obs::JsonValue* array(std::string_view key) {
+    return get(key, Kind::kArray, "an array");
+  }
+  void string(std::string_view key, std::string* out) {
+    if (const auto* v = get(key, Kind::kString, "a string")) *out = v->string;
+  }
+  void boolean(std::string_view key, bool* out) {
+    if (const auto* v = get(key, Kind::kBool, "true or false"))
+      *out = v->boolean;
+  }
+  void number(std::string_view key, double* out) {
+    if (const auto* v = get(key, Kind::kNumber, "a number")) *out = v->number;
+  }
+  /// An integer member that `Int` represents exactly.
+  template <typename Int>
+  void integer(std::string_view key, Int* out) {
+    const auto* v = get(key, Kind::kNumber, "an integer");
+    if (v == nullptr) return;
+    if (!v->is_integer || !std::in_range<Int>(v->integer)) {
+      fail(key, "must be an integer in range");
+      return;
+    }
+    *out = static_cast<Int>(v->integer);
+  }
+  /// A unit-string member ("100Gbps", "50ns") parsed with `parse`.
+  template <typename T>
+  void unit(std::string_view key, T* out,
+            bool (*parse)(std::string_view, T*)) {
+    const auto* v = get(key, Kind::kString, "a unit string");
+    if (v != nullptr && !parse(v->string, out))
+      fail(key, "has bad value \"" + v->string + "\"");
+  }
+
+  /// Rejects the first member no read asked for. False on any failure.
+  bool finish() {
+    for (const auto& [key, value] : object_.object) {
+      if (!ok_) break;
+      if (std::find(known_.begin(), known_.end(), key) == known_.end())
+        fail(key, "is not a known key");
+    }
+    return ok_;
+  }
+  bool fail(std::string_view key, const std::string& what) {
+    if (ok_ && error_ != nullptr)
+      *error_ = std::string(doc_) + ": \"" + path_ + std::string(key) +
+                "\" " + what;
+    ok_ = false;
     return false;
-  };
-  if (!root.is_object()) return fail("scenario: not a JSON object");
+  }
+
+ private:
+  const obs::JsonValue& object_;
+  const char* doc_;
+  std::string path_;
+  std::string* error_;
+  std::vector<std::string_view> known_;
+  bool ok_ = true;
+};
+
+/// Parse the scenario object `r` reads.
+bool parse_spec_object(MemberReader r, ScenarioSpec* out) {
   ScenarioSpec spec;
-  if (const auto* v = root.find("name")) spec.name = v->string;
-  const auto* topo = root.find("topology");
-  if (topo != nullptr) {
-    if (!topo->is_object()) return fail("scenario: topology is not an object");
-    if (const auto* v = topo->find("kind")) spec.topology = v->string;
-    if (const auto* v = topo->find("routing")) spec.routing = v->string;
-    if (const auto* v = topo->find("nodes"))
-      spec.nodes = static_cast<int>(v->as_i64(spec.nodes));
-    if (const auto* v = topo->find("link_bandwidth")) {
-      if (!parse_bandwidth(v->string, &spec.link_bandwidth))
-        return fail("scenario: bad link_bandwidth \"" + v->string + "\"");
+  r.string("name", &spec.name);
+  if (const auto* v = r.object("topology")) {
+    MemberReader t = r.nested(*v, "topology");
+    t.string("kind", &spec.topology);
+    t.string("routing", &spec.routing);
+    t.integer("nodes", &spec.nodes);
+    t.unit("link_bandwidth", &spec.link_bandwidth, parse_bandwidth);
+    t.unit("link_latency", &spec.link_latency, parse_duration);
+    t.unit("long_link_latency", &spec.long_link_latency, parse_duration);
+    t.unit("switch_latency", &spec.switch_latency, parse_duration);
+    t.number("xbar_factor", &spec.xbar_factor);
+    t.integer("concentration", &spec.concentration);
+    t.boolean("express", &spec.express);
+    t.string("route_table", &spec.route_table);
+    if (spec.route_table != "algebraic") {
+      t.fail("route_table",
+             "must be \"algebraic\": the per-destination route table was "
+             "removed, static next hops are always computed");
     }
-    if (const auto* v = topo->find("link_latency")) {
-      if (!parse_duration(v->string, &spec.link_latency))
-        return fail("scenario: bad link_latency \"" + v->string + "\"");
-    }
-    if (const auto* v = topo->find("long_link_latency")) {
-      if (!parse_duration(v->string, &spec.long_link_latency))
-        return fail("scenario: bad long_link_latency \"" + v->string + "\"");
-    }
-    if (const auto* v = topo->find("switch_latency")) {
-      if (!parse_duration(v->string, &spec.switch_latency))
-        return fail("scenario: bad switch_latency \"" + v->string + "\"");
-    }
-    if (const auto* v = topo->find("xbar_factor"))
-      spec.xbar_factor = v->as_double(spec.xbar_factor);
-    if (const auto* v = topo->find("concentration"))
-      spec.concentration = static_cast<int>(v->as_i64(spec.concentration));
-    if (const auto* v = topo->find("express"))
-      spec.express = v->boolean;
-    if (const auto* v = topo->find("route_table")) {
-      spec.route_table = v->string;
-      if (spec.route_table != "algebraic" && spec.route_table != "materialized")
-        return fail("scenario: bad route_table \"" + spec.route_table + "\"");
-    }
+    if (!t.finish()) return false;
   }
-  const auto* transport = root.find("transport");
-  if (transport != nullptr) {
-    if (!transport->is_object())
-      return fail("scenario: transport is not an object");
-    if (const auto* v = transport->find("kind")) spec.transport = v->string;
-    if (const auto* v = transport->find("rdma_slots"))
-      spec.rdma_slots = static_cast<int>(v->as_i64(spec.rdma_slots));
-    if (const auto* v = transport->find("doorbell_batch")) {
-      spec.doorbell_batch = static_cast<int>(v->as_i64(spec.doorbell_batch));
-      if (spec.doorbell_batch < 1)
-        return fail("scenario: doorbell_batch must be >= 1");
-    }
+  if (const auto* v = r.object("transport")) {
+    MemberReader t = r.nested(*v, "transport");
+    t.string("kind", &spec.transport);
+    t.integer("rdma_slots", &spec.rdma_slots);
+    t.integer("doorbell_batch", &spec.doorbell_batch);
+    if (!t.finish()) return false;
   }
-  const auto* motif = root.find("motif");
-  if (motif != nullptr) {
-    if (!motif->is_object()) return fail("scenario: motif is not an object");
-    if (const auto* v = motif->find("kind")) spec.motif = v->string;
-    if (const auto* params = motif->find("params")) {
-      if (!params->is_object())
-        return fail("scenario: motif params is not an object");
+  if (const auto* v = r.object("motif")) {
+    MemberReader m = r.nested(*v, "motif");
+    m.string("kind", &spec.motif);
+    // Param names are the motif's own; its builder rejects unknown ones.
+    if (const auto* params = m.object("params")) {
       for (const auto& [key, value] : params->object) {
         if (!value.is_string())
-          return fail("scenario: motif param \"" + key +
-                      "\" must be a string");
+          return m.fail("params." + key, "must be a string");
         spec.motif_params[key] = value.string;
       }
     }
+    if (!m.finish()) return false;
   }
-  if (const auto* v = root.find("seed")) spec.seed = v->as_u64(spec.seed);
-  if (const auto* v = root.find("par_shards")) {
-    spec.par_shards = static_cast<int>(
-        v->as_u64(static_cast<std::uint64_t>(spec.par_shards)));
-    if (spec.par_shards < 1)
-      return fail("scenario: par_shards must be >= 1");
-  }
-  if (const auto* v = root.find("sample_period")) {
-    if (!parse_duration(v->string, &spec.sample_period))
-      return fail("scenario: bad sample_period \"" + v->string + "\"");
-  }
-  if (const auto* v = root.find("metrics")) spec.metrics_path = v->string;
-  if (const auto* v = root.find("flight_recorder"))
-    spec.flight_recorder_path = v->string;
-  if (const auto* v = root.find("flight_recorder_capacity"))
-    spec.flight_recorder_capacity = v->as_u64(spec.flight_recorder_capacity);
-  if (const auto* v = root.find("pdes_profile"))
-    spec.pdes_profile_path = v->string;
+  r.integer("seed", &spec.seed);
+  r.integer("par_shards", &spec.par_shards);
+  r.unit("sample_period", &spec.sample_period, parse_duration);
+  r.string("metrics", &spec.metrics_path);
+  r.string("flight_recorder", &spec.flight_recorder_path);
+  r.integer("flight_recorder_capacity", &spec.flight_recorder_capacity);
+  r.string("pdes_profile", &spec.pdes_profile_path);
+  if (!r.finish()) return false;
   *out = std::move(spec);
   return true;
 }
@@ -275,48 +330,52 @@ bool spec_from_json(const std::string& text, ScenarioSpec* out,
                     std::string* error) {
   obs::JsonValue root;
   if (!obs::json_parse(text, &root, error)) return false;
-  const auto* format = root.find("format");
-  if (format == nullptr || format->string != kScenarioSchema) {
-    if (error != nullptr)
-      *error = std::string("scenario: expected format \"") + kScenarioSchema +
-               "\"";
-    return false;
+  MemberReader r(root, "scenario", "", error);
+  std::string format;
+  r.string("format", &format);
+  if (format != kScenarioSchema) {
+    return r.fail("format",
+                  std::string("must be \"") + kScenarioSchema + "\"");
   }
-  const auto* spec = root.find("scenario");
-  if (spec == nullptr) {
-    if (error != nullptr) *error = "scenario: missing \"scenario\" object";
-    return false;
-  }
-  return parse_spec_object(*spec, out, error);
+  const auto* spec = r.object("scenario");
+  if (spec == nullptr) return r.fail("scenario", "is missing");
+  // Keys inside the scenario object are named without a prefix.
+  return parse_spec_object(MemberReader(*spec, "scenario", "", error), out) &&
+         r.finish();
 }
 
 bool grid_from_json(const std::string& text, GridSpec* out,
                     std::string* error) {
   obs::JsonValue root;
   if (!obs::json_parse(text, &root, error)) return false;
-  const auto* format = root.find("format");
-  if (format == nullptr || format->string != kGridSchema) {
-    if (error != nullptr)
-      *error = std::string("grid: expected format \"") + kGridSchema + "\"";
-    return false;
-  }
+  MemberReader r(root, "grid", "", error);
+  std::string format;
+  r.string("format", &format);
+  if (format != kGridSchema)
+    return r.fail("format", std::string("must be \"") + kGridSchema + "\"");
   GridSpec grid;
-  if (const auto* v = root.find("figure")) grid.figure = v->string;
-  if (const auto* v = root.find("motif_label")) grid.motif_label = v->string;
-  if (const auto* v = root.find("cases")) {
+  r.string("figure", &grid.figure);
+  r.string("motif_label", &grid.motif_label);
+  if (const auto* v = r.array("cases")) {
     grid.cases.clear();
-    for (const auto& item : v->array) grid.cases.push_back(item.string);
+    for (const auto& item : v->array) {
+      if (!item.is_string()) return r.fail("cases", "must hold strings");
+      grid.cases.push_back(item.string);
+    }
   }
-  if (const auto* v = root.find("gbps")) {
+  if (const auto* v = r.array("gbps")) {
     grid.gbps.clear();
-    for (const auto& item : v->array) grid.gbps.push_back(item.as_double());
+    for (const auto& item : v->array) {
+      if (!item.is_number()) return r.fail("gbps", "must hold numbers");
+      grid.gbps.push_back(item.number);
+    }
   }
-  const auto* base = root.find("base");
-  if (base == nullptr) {
-    if (error != nullptr) *error = "grid: missing \"base\" scenario";
+  const auto* base = r.object("base");
+  if (base == nullptr) return r.fail("base", "is missing");
+  if (!parse_spec_object(r.nested(*base, "base"), &grid.base) ||
+      !r.finish()) {
     return false;
   }
-  if (!parse_spec_object(*base, &grid.base, error)) return false;
   *out = std::move(grid);
   return true;
 }
@@ -329,16 +388,30 @@ bool looks_like_grid(const std::string& text) {
   return format != nullptr && format->string == kGridSchema;
 }
 
+void apply_base_overlay(const Cli& cli, ScenarioSpec* spec) {
+  spec->nodes = static_cast<int>(cli.get_int("nodes", spec->nodes));
+  spec->rdma_slots =
+      static_cast<int>(cli.get_int("rdma-slots", spec->rdma_slots));
+  spec->seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<std::int64_t>(spec->seed)));
+  spec->par_shards =
+      static_cast<int>(cli.get_int("par-shards", spec->par_shards));
+  if (cli.get_bool("no-express", false)) spec->express = false;
+  spec->flight_recorder_path =
+      cli.get("flight-recorder", spec->flight_recorder_path);
+  spec->pdes_profile_path = cli.get("pdes-profile", spec->pdes_profile_path);
+}
+
 bool apply_cli_overlay(const Cli& cli, ScenarioSpec* spec,
                        std::string* error) {
   auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return false;
   };
+  apply_base_overlay(cli, spec);
   spec->name = cli.get("name", spec->name);
   spec->topology = cli.get("topology", spec->topology);
   spec->routing = cli.get("routing", spec->routing);
-  spec->nodes = static_cast<int>(cli.get_int("nodes", spec->nodes));
   if (cli.has("bandwidth")) {
     const std::string text = cli.get("bandwidth", "");
     if (!parse_bandwidth(text, &spec->link_bandwidth))
@@ -362,41 +435,23 @@ bool apply_cli_overlay(const Cli& cli, ScenarioSpec* spec,
   spec->xbar_factor = cli.get_double("xbar-factor", spec->xbar_factor);
   spec->concentration =
       static_cast<int>(cli.get_int("concentration", spec->concentration));
-  if (cli.get_bool("no-express", false)) spec->express = false;
   if (cli.has("express")) spec->express = cli.get_bool("express", true);
-  spec->route_table = cli.get("route-table", spec->route_table);
-  if (spec->route_table != "algebraic" && spec->route_table != "materialized")
-    return fail("bad --route-table \"" + spec->route_table +
-                "\" (want algebraic|materialized)");
   spec->transport = cli.get("transport", spec->transport);
-  spec->rdma_slots =
-      static_cast<int>(cli.get_int("rdma-slots", spec->rdma_slots));
   spec->doorbell_batch =
       static_cast<int>(cli.get_int("doorbell-batch", spec->doorbell_batch));
-  if (spec->doorbell_batch < 1)
-    return fail("bad --doorbell-batch (must be >= 1)");
   spec->motif = cli.get("motif", spec->motif);
   for (const auto& [key, value] : cli.take_prefixed("motif.")) {
     spec->motif_params[key] = value;
   }
-  spec->seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(spec->seed)));
-  spec->par_shards =
-      static_cast<int>(cli.get_int("par-shards", spec->par_shards));
-  if (spec->par_shards < 1)
-    return fail("bad --par-shards (must be >= 1)");
   if (cli.has("sample-period")) {
     const std::string text = cli.get("sample-period", "");
     if (!parse_duration(text, &spec->sample_period))
       return fail("bad --sample-period \"" + text + "\"");
   }
   spec->metrics_path = cli.get("metrics", spec->metrics_path);
-  spec->flight_recorder_path =
-      cli.get("flight-recorder", spec->flight_recorder_path);
   spec->flight_recorder_capacity = static_cast<std::uint64_t>(cli.get_int(
       "flight-recorder-capacity",
       static_cast<std::int64_t>(spec->flight_recorder_capacity)));
-  spec->pdes_profile_path = cli.get("pdes-profile", spec->pdes_profile_path);
   return true;
 }
 

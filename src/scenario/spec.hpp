@@ -46,10 +46,9 @@ struct ScenarioSpec {
   int concentration = 1;     ///< endpoints per switch where applicable
   /// Express cut-through ablation; disabling it must not change results.
   bool express = true;
-  /// Static next-hop resolution: "algebraic" (O(1) coordinate arithmetic,
-  /// zero route-table bytes) or "materialized" (the full O(S*N) LUT
-  /// ablation). Results are bit-identical either way; only memory and
-  /// construction time move. Ignored under adaptive routing.
+  /// Kept only for the frozen benchmark driver (rvbench/rvbench.cpp):
+  /// static next hops are always computed, so the parser accepts nothing
+  /// but "algebraic".
   std::string route_table = "algebraic";
 
   // ---- transport ----
@@ -72,8 +71,7 @@ struct ScenarioSpec {
   /// serial; K > 1 shards the switches over K lock-step worker engines.
   /// Results are bit-identical either way — this knob only trades wall
   /// clock. Clamped back to 1 whenever exact sharding is impossible
-  /// (adaptive routing, sampling, zero lookahead); never exceeds the
-  /// switch count.
+  /// (sampling, zero lookahead); never exceeds the switch count.
   int par_shards = 1;
   /// Simulated-time gauge sampling period; 0 disables sampling.
   Time sample_period = 0;
@@ -119,7 +117,9 @@ std::string to_json(const ScenarioSpec& spec);
 std::string to_json(const GridSpec& grid);
 
 /// Parse a scenario document. Returns false with *error set on malformed
-/// JSON, wrong schema, or unparsable unit strings.
+/// JSON, wrong schema, unknown keys, values of the wrong JSON type, or
+/// unparsable unit strings; the message names the offending key. Value
+/// ranges (nodes >= 1, ...) are validate_scenario's job.
 bool spec_from_json(const std::string& text, ScenarioSpec* out,
                     std::string* error);
 bool grid_from_json(const std::string& text, GridSpec* out,
@@ -129,16 +129,19 @@ bool grid_from_json(const std::string& text, GridSpec* out,
 /// that accept either document kind).
 bool looks_like_grid(const std::string& text);
 
-/// Overlay CLI flags onto `spec`: --name, --topology, --routing, --nodes,
-/// --bandwidth, --link-latency, --long-link-latency, --switch-latency,
-/// --xbar-factor,
-/// --concentration, --no-express/--express, --route-table, --transport,
-/// --rdma-slots, --doorbell-batch, --motif, --motif.<param>=<value>,
-/// --seed, --par-shards,
-/// --sample-period, --metrics, --flight-recorder,
-/// --flight-recorder-capacity, --pdes-profile.
-/// Flags win over file values. Returns false with *error set on
-/// unparsable values.
+/// Overlay the flags a figure grid's base scenario takes too
+/// (run_figure_cli): --nodes, --rdma-slots, --seed, --par-shards,
+/// --no-express, --flight-recorder, --pdes-profile. Flags win over file
+/// values; validate_scenario checks the ranges.
+void apply_base_overlay(const Cli& cli, ScenarioSpec* spec);
+
+/// Overlay every scenario flag onto `spec`: apply_base_overlay's set plus
+/// --name, --topology, --routing, --bandwidth, --link-latency,
+/// --long-link-latency, --switch-latency, --xbar-factor, --concentration,
+/// --express, --transport, --doorbell-batch, --motif,
+/// --motif.<param>=<value>, --sample-period, --metrics,
+/// --flight-recorder-capacity. Flags win over file values. Returns false
+/// with *error set on unparsable unit values.
 bool apply_cli_overlay(const Cli& cli, ScenarioSpec* spec,
                        std::string* error);
 

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "scenario/figure_grid.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -104,6 +106,93 @@ TEST(ScenarioSpecJson, RejectsBadDocuments) {
   EXPECT_NE(error.find("link_bandwidth"), std::string::npos);
 }
 
+/// Parse `scenario_body` as the "scenario" member of a scenario document.
+bool parse_scenario(const std::string& scenario_body, std::string* error) {
+  ScenarioSpec spec;
+  return spec_from_json(
+      "{\"format\": \"rvma-scenario-v1\", \"scenario\": " + scenario_body +
+          "}",
+      &spec, error);
+}
+
+/// A typo'd key or a value of the wrong JSON type used to fall back to
+/// the default silently (static routing, seed 2021, 2 nodes); each must
+/// now fail the parse and name the key.
+TEST(ScenarioSpecJson, RejectsUnknownKeysAndWrongTypes) {
+  std::string error;
+  EXPECT_FALSE(parse_scenario(
+      R"({"topology": {"kind": "torus3d", "routng": "adaptive"}})", &error));
+  EXPECT_NE(error.find("topology.routng"), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"seeed": 7})", &error));
+  EXPECT_NE(error.find("seeed"), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"transport": {"knd": "rdma"}})", &error));
+  EXPECT_NE(error.find("transport.knd"), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"motif": {"kind": "halo3d", "parms": {}}})",
+                              &error));
+  EXPECT_NE(error.find("motif.parms"), std::string::npos) << error;
+
+  EXPECT_FALSE(parse_scenario(R"({"topology": {"nodes": "64"}})", &error));
+  EXPECT_NE(error.find("topology.nodes"), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"topology": {"nodes": 6.5}})", &error));
+  EXPECT_NE(error.find("topology.nodes"), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"seed": "7"})", &error));
+  EXPECT_NE(error.find("\"seed\""), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"seed": -1})", &error));
+  EXPECT_NE(error.find("\"seed\""), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"topology": {"express": "no"}})", &error));
+  EXPECT_NE(error.find("topology.express"), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario(R"({"topology": "torus3d"})", &error));
+  EXPECT_NE(error.find("topology"), std::string::npos) << error;
+
+  // The documents the benchmark driver writes still parse; motif param
+  // names are the motif's to check (validate_scenario), not the parser's.
+  ASSERT_TRUE(parse_scenario(
+      R"({"name": "c", "topology": {"kind": "torus3d", "routing": "adaptive",
+          "nodes": 64, "link_bandwidth": "100Gbps"},
+          "transport": {"kind": "rvma"},
+          "motif": {"kind": "halo3d", "params": {"anything": "1"}},
+          "seed": 7, "par_shards": 4})",
+      &error))
+      << error;
+
+  // The top level of both document kinds is checked too.
+  ScenarioSpec spec;
+  EXPECT_FALSE(spec_from_json(
+      R"({"format": "rvma-scenario-v1", "scenario": {}, "extra": 1})", &spec,
+      &error));
+  EXPECT_NE(error.find("extra"), std::string::npos) << error;
+  GridSpec grid;
+  std::string text = to_json(GridSpec{});
+  ASSERT_TRUE(grid_from_json(text, &grid, &error)) << error;
+  text.replace(text.find("\"cases\""), 7, "\"case\"");
+  EXPECT_FALSE(grid_from_json(text, &grid, &error));
+  EXPECT_NE(error.find("case"), std::string::npos) << error;
+  text = to_json(GridSpec{});
+  text.replace(text.find("\"gbps\": [100"), 12, "\"gbps\": [\"100\"");
+  EXPECT_FALSE(grid_from_json(text, &grid, &error));
+  EXPECT_NE(error.find("gbps"), std::string::npos) << error;
+  text = to_json(GridSpec{});
+  text.replace(text.find("\"rdma_slots\""), 12, "\"rdma_slot\"");
+  EXPECT_FALSE(grid_from_json(text, &grid, &error));
+  EXPECT_NE(error.find("base.transport.rdma_slot"), std::string::npos)
+      << error;
+}
+
+/// The per-destination route table is gone: a spec asking for it fails
+/// loud instead of silently running the computed next hops.
+TEST(ScenarioSpecJson, RejectsRemovedMaterializedRouteTable) {
+  std::string error;
+  EXPECT_FALSE(parse_scenario(
+      R"({"topology": {"kind": "torus3d", "route_table": "materialized"}})",
+      &error));
+  EXPECT_NE(error.find("route_table"), std::string::npos) << error;
+  EXPECT_NE(error.find("removed"), std::string::npos) << error;
+  EXPECT_TRUE(parse_scenario(
+      R"({"topology": {"kind": "torus3d", "route_table": "algebraic"}})",
+      &error))
+      << error;
+}
+
 TEST(ScenarioCliOverlay, FlagsWinOverFileValues) {
   ScenarioSpec spec = full_spec();
   const char* argv[] = {"prog",
@@ -178,6 +267,47 @@ TEST(ScenarioValidate, RejectsUnknownNamesAndParams) {
   bad_value.motif_params["iterations"] = "lots";
   EXPECT_FALSE(validate_scenario(bad_value, &error));
   EXPECT_NE(error.find("iterations"), std::string::npos);
+}
+
+/// Node and shard counts are range-checked once, in validate_scenario,
+/// whichever source set them; a non-positive count used to simulate an
+/// empty machine and exit 0.
+TEST(ScenarioValidate, RejectsNonPositiveCounts) {
+  ScenarioSpec spec;
+  spec.nodes = 4;
+  std::string error;
+  ASSERT_TRUE(validate_scenario(spec, &error)) << error;
+  for (const int nodes : {0, -4}) {
+    ScenarioSpec bad = spec;
+    bad.nodes = nodes;
+    EXPECT_FALSE(validate_scenario(bad, &error)) << nodes;
+    EXPECT_NE(error.find("nodes"), std::string::npos) << error;
+    ScenarioResult result;
+    EXPECT_FALSE(run_scenario(bad, &result, &error)) << nodes;
+  }
+  for (const int shards : {0, -3}) {
+    ScenarioSpec bad = spec;
+    bad.par_shards = shards;
+    EXPECT_FALSE(validate_scenario(bad, &error)) << shards;
+    EXPECT_NE(error.find("par_shards"), std::string::npos) << error;
+  }
+  ScenarioSpec bad_batch = spec;
+  bad_batch.doorbell_batch = 0;
+  EXPECT_FALSE(validate_scenario(bad_batch, &error));
+  EXPECT_NE(error.find("doorbell_batch"), std::string::npos) << error;
+
+  // A grid's base is checked before any cell runs.
+  GridSpec grid;
+  grid.base.nodes = 8;
+  grid.base.motif_params = {{"nx", "8"}, {"ny", "8"}, {"nz", "8"},
+                            {"vars", "1"}, {"iterations", "1"}};
+  grid.base.par_shards = 0;
+  grid.cases = {"torus3d-static"};
+  grid.gbps = {100};
+  std::vector<GridCell> cells;
+  EXPECT_FALSE(run_grid(grid, 1, &cells, &error));
+  EXPECT_NE(error.find("par_shards"), std::string::npos) << error;
+  EXPECT_TRUE(cells.empty());
 }
 
 /// An API motif is its own RVMA transport: naming another transport
@@ -419,6 +549,35 @@ TEST(ScenarioGolden, RvmaRunSingleScenarioIsDeterministic) {
   for (const std::string& p : {spec_path, out_a, out_b, out_p, out_l}) {
     std::remove(p.c_str());
   }
+}
+
+/// Exit status of a shell command (-1 when it did not exit normally).
+int exit_code(const std::string& cmd) {
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ScenarioCli, CountsAndRemovedFlagsFailLoud) {
+  const std::string dir = ::testing::TempDir();
+  const std::string spec_path = dir + "cli_spec.json";
+  {
+    std::ofstream out(spec_path);
+    out << to_json(smoke_spec());
+  }
+  const std::string rvma_run =
+      std::string(RVMA_RUN_BIN) + " " + spec_path + " ";
+  const std::string fig8 = std::string(FIG8_BIN) + " --quick --nodes=8 ";
+  const std::string quiet = " > /dev/null 2>&1";
+  ASSERT_EQ(exit_code(rvma_run + quiet), 0);
+  // Non-positive counts, from a flag or a grid's base.
+  EXPECT_EQ(exit_code(rvma_run + "--nodes=-4" + quiet), 2);
+  EXPECT_EQ(exit_code(rvma_run + "--par-shards=0" + quiet), 2);
+  EXPECT_EQ(exit_code(fig8 + "--par-shards=0" + quiet), 2);
+  EXPECT_EQ(exit_code(fig8 + "--par-shards=-3" + quiet), 2);
+  // --route-table is no longer an option anywhere.
+  EXPECT_EQ(exit_code(rvma_run + "--route-table=algebraic" + quiet), 2);
+  EXPECT_EQ(exit_code(fig8 + "--route-table=materialized" + quiet), 2);
+  std::remove(spec_path.c_str());
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #    hop-by-hop fabrics concurrently across worker threads (the pooled
 #    non-atomic message refcount must stay engine-local);
 #  - the observability tests (registry, sampler, metrics documents);
-#  - the scenario-layer tests: registry materialization, sharded runs at
+#  - the scenario-layer tests: every registered backend builds, sharded runs at
 #    K in {2,4} of every transport against their serial result, and the
 #    rvma_run grid replay, which fans cells out over the executor;
 #  - the PDES and lookahead-matrix tests: the ShardedEngine's window

@@ -94,11 +94,9 @@ int run_single(const std::string& text, int argc, char** argv) {
     // across jobs/shards/ablations.
     std::fprintf(stderr,
                  "timing: construct %.3f s, simulate %.3f s, "
-                 "route_table %zu bytes, peak_rss %zu bytes, "
-                 "shards %d of %d requested\n",
+                 "peak_rss %zu bytes, shards %d of %d requested\n",
                  timing.construct_wall_s, timing.sim_wall_s,
-                 timing.route_table_bytes, timing.peak_rss_bytes,
-                 timing.shards, spec.par_shards);
+                 timing.peak_rss_bytes, timing.shards, spec.par_shards);
   }
 
   // Deterministic summary: simulated quantities only, no wall clock, so
